@@ -1,7 +1,8 @@
 # Repo gates. `make check` is the full pre-merge bar: vet, staticcheck
 # (when installed), the race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
-# ortho strategies on top of them, and the sched/server serving stack),
+# ortho strategies on top of them, the solver's heal and overlap paths
+# that charge from device goroutines, and the sched/server serving stack),
 # then the whole deterministic test suite, then the serving smoke test.
 # `make metrics-smoke` exercises the observability surface end-to-end:
 # a small solve with telemetry/metrics/trace output, each artifact
@@ -57,7 +58,7 @@ test:
 race:
 	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
-		./internal/cluster/... ./cmd/loadgen/...
+		./internal/core/... ./internal/cluster/... ./cmd/loadgen/...
 
 # Opt-in wall-clock kernel comparison (needs an unloaded machine).
 measured:

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cagmres/internal/dist"
+	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 	"cagmres/internal/ortho"
 )
@@ -98,7 +99,7 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 				break // invariant subspace: use what we have
 			}
 			updateHessenberg(h, bhat, c, r, q, w)
-			ctx.HostCompute(PhaseLSQ, 2*float64(q+w)*float64(w)*float64(q+w))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ, Sync: true}, 2*float64(q+w)*float64(w)*float64(q+w))
 			done += w
 		}
 		steps = done
@@ -114,7 +115,7 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 		}
 	}
 	ritz := la.HessenbergEigenvalues(hk)
-	ctx.HostCompute(PhaseLSQ, 20*float64(steps*steps*steps))
+	ctx.Host(gpu.Op{Phase: PhaseLSQ, Sync: true}, 20*float64(steps*steps*steps))
 	sort.Slice(ritz, func(a, b int) bool { return cmplx.Abs(ritz[a]) > cmplx.Abs(ritz[b]) })
 	return ritz, nil
 }

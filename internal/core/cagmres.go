@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cagmres/internal/dist"
+	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 	"cagmres/internal/obs"
 	"cagmres/internal/ortho"
@@ -180,7 +181,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 					OrthoLoss: orthoLoss(V.Window(0, k+1))})
 			}
 			giv := solveSmall(h, k, beta)
-			ctx.HostComputeOn(PhaseLSQ, 3*float64(m+1)*float64(m+1))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ}, 3*float64(m+1)*float64(m+1))
 			W.UpdateWithBasis(0, V, 0, giv[:k], PhaseVec)
 			// Ritz values from the square part of H.
 			hk := la.NewDense(k, k)
@@ -199,7 +200,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 			}
 			shifts := newtonShifts(hk, m)
 			shiftBlocks = scheduleShifts(shifts, m, s)
-			ctx.HostComputeOn(PhaseLSQ, 20*float64(k*k*k))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ}, 20*float64(k*k*k))
 			needShifts = false
 			continue
 		}
@@ -305,13 +306,13 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 			// The change-of-basis algebra is host work; under overlap it
 			// runs while the devices start the next window's exchange.
 			updateHessenberg(h, bhat, c, r, q, steps)
-			ctx.HostComputeOn(PhaseLSQ, 2*float64(q+steps)*float64(steps)*float64(q+steps))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ}, 2*float64(q+steps)*float64(steps)*float64(q+steps))
 
 			done += steps
 			block++
 			// Residual estimate from the growing Hessenberg system.
 			_, rn := la.HessenbergLS(subHessenberg(h, done), e1(done+1, beta))
-			ctx.HostComputeOn(PhaseLSQ, 3*float64(done+1)*float64(done+1))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ}, 3*float64(done+1)*float64(done+1))
 			relres = rn / bNorm
 			if nonFinite(relres) {
 				return res, &BreakdownError{Iter: res.Iters + done, Stage: "window"}
@@ -344,7 +345,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 		}
 
 		y, _ := la.HessenbergLS(subHessenberg(h, done), e1(done+1, beta))
-		ctx.HostComputeOn(PhaseLSQ, 3*float64(done+1)*float64(done+1))
+		ctx.Host(gpu.Op{Phase: PhaseLSQ}, 3*float64(done+1)*float64(done+1))
 		W.UpdateWithBasis(0, V, 0, y, PhaseVec)
 		if res.Canceled {
 			break

@@ -281,7 +281,7 @@ func runGMRES(p *Problem, opts Options, ck *checkpoint) (*Result, error) {
 			// The Givens update is tiny host work; under overlap it rides
 			// the host stream while the devices run the next SpMV.
 			rel = giv.Append(hcol) / bNorm
-			ctx.HostComputeOn(PhaseLSQ, float64(6*(k+1)))
+			ctx.Host(gpu.Op{Phase: PhaseLSQ}, float64(6*(k+1)))
 			em.emit(obs.Record{Kind: "step", Restart: restart, Step: k + 1, RelRes: rel})
 			if err != nil {
 				// Happy breakdown: the Krylov space is invariant; the
@@ -305,7 +305,7 @@ func runGMRES(p *Problem, opts Options, ck *checkpoint) (*Result, error) {
 		// broadcast depends on the host stream, so the solve's cost is on
 		// the critical path only when the devices catch up first.
 		y := giv.Solve()
-		ctx.HostComputeOn(PhaseLSQ, 3*float64(m+1)*float64(m+1))
+		ctx.Host(gpu.Op{Phase: PhaseLSQ}, 3*float64(m+1)*float64(m+1))
 		W.UpdateWithBasis(0, V, 0, y[:k], PhaseVec)
 	}
 
@@ -335,7 +335,7 @@ func negateInto(w *dist.Vectors, jr, jb int) {
 		}
 		work[d] = gpu.Work{Flops: float64(len(r)), Bytes: 24 * float64(len(r))}
 	})
-	w.Ctx.DeviceKernelOn(PhaseVec, work)
+	w.Ctx.Kernel(gpu.Op{Phase: PhaseVec}, work)
 }
 
 // copyScaled sets dst column jd := alpha * src column js across devices.
@@ -350,7 +350,7 @@ func copyScaled(src *dist.Vectors, js int, dst *dist.Vectors, jd int, alpha floa
 		}
 		work[d] = gpu.Work{Flops: float64(len(s)), Bytes: 16 * float64(len(s))}
 	})
-	src.Ctx.DeviceKernelOn(PhaseVec, work)
+	src.Ctx.Kernel(gpu.Op{Phase: PhaseVec}, work)
 }
 
 // arnoldiMGS orthogonalizes V[:,k+1] against V[:,0..k] by modified
@@ -391,12 +391,12 @@ func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error 
 		rows := float64(len(vk))
 		work[d] = gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
 	})
-	kd := ctx.DeviceKernelOn(PhaseOrth, work)
+	kd := ctx.Kernel(gpu.Op{Phase: PhaseOrth}, work)
 	bytes := sc.bytes[:ng]
 	for d := range bytes {
 		bytes[d] = (k + 2) * gpu.ScalarBytes
 	}
-	ctx.ReduceRoundOn(PhaseOrth, bytes, kd)
+	ctx.Reduce(gpu.Op{Phase: PhaseOrth, After: kd}, bytes)
 	sum := sc.sum[:k+2]
 	for i := range sum {
 		sum[i] = 0
@@ -408,14 +408,14 @@ func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error 
 	vnorm2 := sum[k+1]
 	copy(hcol[:k+1], proj)
 
-	bc := ctx.BroadcastRoundOn(PhaseOrth, bytes)
+	bc := ctx.Broadcast(gpu.Op{Phase: PhaseOrth}, bytes)
 	ctx.RunAll(func(d int) {
 		vk := v.Local[d].Col(k + 1)
 		prev := v.Local[d].ColView(0, k+1)
 		la.Gemv(-1, prev, proj, 1, vk)
 		work[d] = gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
 	})
-	ctx.DeviceKernelOn(PhaseOrth, work, bc)
+	ctx.Kernel(gpu.Op{Phase: PhaseOrth, After: bc}, work)
 
 	newNorm2 := vnorm2 - la.Dot(proj, proj)
 	var nrm float64

@@ -197,11 +197,11 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 		if step == 1 && split {
 			k.splitFirstStep(work, halo, phase, k.storage)
 		} else if step == 1 {
-			m.Ctx.DeviceKernelOn(phase, work, halo)
+			m.Ctx.Kernel(gpu.Op{Phase: phase, After: halo}, work)
 		} else {
 			// Later steps read the previous step's output on the same
 			// compute stream; stream ordering is the dependency.
-			m.Ctx.DeviceKernelOn(phase, work)
+			m.Ctx.Kernel(gpu.Op{Phase: phase}, work)
 		}
 
 		// Change-of-basis column.
@@ -246,8 +246,8 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 		interior[d] = iw
 		boundary[d] = gpu.Work{Flops: work[d].Flops - iw.Flops, Bytes: work[d].Bytes - iw.Bytes, Elem: elem}
 	}
-	m.Ctx.DeviceKernelOn(phase, interior)
-	m.Ctx.DeviceKernelOn(phase, boundary, halo)
+	m.Ctx.Kernel(gpu.Op{Phase: phase}, interior)
+	m.Ctx.Kernel(gpu.Op{Phase: phase, After: halo}, boundary)
 }
 
 // exchange fills every device's extended z[0] buffer with column j of v:
@@ -302,7 +302,7 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 		roundElem(z[dm.NOwn:dm.NOwn+len(dm.Halo)], elem)
 		recvBytes[d] = len(dm.Halo) * elem.Bytes()
 	})
-	return m.Ctx.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, elem, prod)
+	return m.Ctx.Exchange(gpu.Op{Phase: phase, Elem: elem, After: prod}, sendBytes, recvBytes, traffic)
 }
 
 // validateShiftPairs enforces the pairing convention: a shift with
@@ -347,7 +347,7 @@ func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string)
 	if m.Ctx.OverlapEnabled() && len(m.Dev) > 1 {
 		k.splitFirstStep(work, halo, phase, gpu.Elem64)
 	} else {
-		m.Ctx.DeviceKernelOn(phase, work, halo)
+		m.Ctx.Kernel(gpu.Op{Phase: phase, After: halo}, work)
 	}
 }
 
@@ -379,7 +379,7 @@ func (k *MPK) spmvDeep(src *Vectors, jSrc int, dst *Vectors, jDst int, phase str
 		}
 		recvBytes[d] = n1 * gpu.ScalarBytes
 	})
-	halo := m.Ctx.HaloExchangeOn(phase, sendBytes, recvBytes, m.PeerTraffic1, prod)
+	halo := m.Ctx.Exchange(gpu.Op{Phase: phase, After: prod}, sendBytes, recvBytes, m.PeerTraffic1)
 	work := make([]gpu.Work, ng)
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
@@ -391,7 +391,7 @@ func (k *MPK) spmvDeep(src *Vectors, jSrc int, dst *Vectors, jDst int, phase str
 	if m.Ctx.OverlapEnabled() && len(m.Dev) > 1 {
 		k.splitFirstStep(work, halo, phase, gpu.Elem64)
 	} else {
-		m.Ctx.DeviceKernelOn(phase, work, halo)
+		m.Ctx.Kernel(gpu.Op{Phase: phase, After: halo}, work)
 	}
 }
 

@@ -32,12 +32,12 @@ func (v *Vectors) DotCols(jx, jy int, phase string) float64 {
 		partial[d] = la.Dot(x, y)
 		work[d] = gpu.Work{Flops: 2 * float64(len(x)), Bytes: 16 * float64(len(x))}
 	})
-	k := v.Ctx.DeviceKernelOn(phase, work)
+	k := v.Ctx.Kernel(gpu.Op{Phase: phase}, work)
 	bytes := make([]int, ng)
 	for d := range bytes {
 		bytes[d] = gpu.ScalarBytes
 	}
-	v.Ctx.ReduceRoundOn(phase, bytes, k)
+	v.Ctx.Reduce(gpu.Op{Phase: phase, After: k}, bytes)
 	var s float64
 	for _, p := range partial {
 		s += p
@@ -59,7 +59,7 @@ func (v *Vectors) AxpyCol(alpha float64, jx, jy int, phase string) {
 		la.Axpy(alpha, x, v.Local[d].Col(jy))
 		work[d] = gpu.Work{Flops: 2 * float64(len(x)), Bytes: 24 * float64(len(x))}
 	})
-	v.Ctx.DeviceKernelOn(phase, work)
+	v.Ctx.Kernel(gpu.Op{Phase: phase}, work)
 }
 
 // ScaleCol multiplies column j by alpha. The scalar is broadcast to the
@@ -74,14 +74,14 @@ func (v *Vectors) ScaleCol(alpha float64, j int, phase string) {
 	// The scalar is host-side state (e.g. a norm the host just combined);
 	// the broadcast starts once the host holds it, the kernel once the
 	// broadcast lands.
-	bc := v.Ctx.BroadcastRoundOn(phase, bytes, v.Ctx.HostFence())
+	bc := v.Ctx.Broadcast(gpu.Op{Phase: phase, After: v.Ctx.HostFence()}, bytes)
 	work := make([]gpu.Work, ng)
 	v.Ctx.RunAll(func(d int) {
 		col := v.Local[d].Col(j)
 		la.Scal(alpha, col)
 		work[d] = gpu.Work{Flops: float64(len(col)), Bytes: 16 * float64(len(col))}
 	})
-	v.Ctx.DeviceKernelOn(phase, work, bc)
+	v.Ctx.Kernel(gpu.Op{Phase: phase, After: bc}, work)
 }
 
 // CopyCol copies column jSrc into jDst. Purely local.
@@ -93,7 +93,7 @@ func (v *Vectors) CopyCol(jSrc, jDst int, phase string) {
 		copy(v.Local[d].Col(jDst), src)
 		work[d] = gpu.Work{Bytes: 16 * float64(len(src))}
 	})
-	v.Ctx.DeviceKernelOn(phase, work)
+	v.Ctx.Kernel(gpu.Op{Phase: phase}, work)
 }
 
 // UpdateWithBasis computes column jx of v += basis[:, j0:j0+k] * y for a
@@ -110,7 +110,7 @@ func (v *Vectors) UpdateWithBasis(jx int, basis *Vectors, j0 int, y []float64, p
 	}
 	// y is computed on the host (the least-squares solve), so the
 	// broadcast depends on the host stream, and the GEMV on the broadcast.
-	bc := v.Ctx.BroadcastRoundOn(phase, bytes, v.Ctx.HostFence())
+	bc := v.Ctx.Broadcast(gpu.Op{Phase: phase, After: v.Ctx.HostFence()}, bytes)
 	work := make([]gpu.Work, ng)
 	v.Ctx.RunAll(func(d int) {
 		panel := basis.Local[d].ColView(j0, j0+k)
@@ -118,5 +118,5 @@ func (v *Vectors) UpdateWithBasis(jx int, basis *Vectors, j0 int, y []float64, p
 		rows := float64(v.Local[d].Rows)
 		work[d] = gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
 	})
-	v.Ctx.DeviceKernelOn(phase, work, bc)
+	v.Ctx.Kernel(gpu.Op{Phase: phase, After: bc}, work)
 }

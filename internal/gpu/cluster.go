@@ -99,7 +99,7 @@ func (c *Context) nodeOfLogical(n int) []int {
 // or absent positions simply carry zero rows. The arithmetic mirrors
 // routePeer per kind; the host-hub kind bounces through the node's own
 // host at the profile's host-link constants (a reduce leg plus a
-// broadcast leg, like PeerExchange's fallback).
+// broadcast leg, like Exchange's host path).
 func (c *Context) routeLocal(npos int, traffic [][]int) float64 {
 	topo := c.prof.Topo
 	switch topo.Kind {
@@ -260,13 +260,21 @@ func (c *Context) routeCluster(traffic [][]int) (t float64, interBytes int) {
 	return t, interBytes
 }
 
-// clusterRoundTime models one host round (reduce/broadcast) on a
-// clustered profile: every device's share crosses its own node's host
+// roundTime models one host round (reduce/broadcast): one host-link
+// latency plus the serialized bus time of the total volume. On a
+// clustered profile every device's share crosses its own node's host
 // link (segments concurrent, so the local leg costs the most loaded
 // node), then the remote nodes' aggregates cross the fabric to the root
 // node's host (uplinks concurrent). The legs are sequential. With one
 // node this degenerates exactly to the single-node round time.
-func (c *Context) clusterRoundTime(bytes []int) (t float64, interBytes int) {
+func (c *Context) roundTime(bytes []int) float64 {
+	if !c.clustered() {
+		total := 0
+		for _, b := range bytes {
+			total += b
+		}
+		return c.Model.Latency + float64(total)/c.Model.Bandwidth
+	}
 	g := c.prof.Cluster.DevicesPerNode
 	fab := c.prof.Cluster.Fabric
 	nNodes := c.NumNodes()
@@ -279,18 +287,15 @@ func (c *Context) clusterRoundTime(bytes []int) (t float64, interBytes int) {
 		if v > maxVol {
 			maxVol = v
 		}
-		if n != 0 {
-			interBytes += v
-			if v > maxRemote {
-				maxRemote = v
-			}
+		if n != 0 && v > maxRemote {
+			maxRemote = v
 		}
 	}
-	t = c.Model.Latency + float64(maxVol)/c.Model.Bandwidth
-	if interBytes > 0 {
+	t := c.Model.Latency + float64(maxVol)/c.Model.Bandwidth
+	if maxRemote > 0 { // some remote node shipped bytes
 		t += fab.Latency + float64(maxRemote)/fab.Bandwidth
 	}
-	return t, interBytes
+	return t
 }
 
 // Valid reports whether the fabric constants are physically meaningful

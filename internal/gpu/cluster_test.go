@@ -37,6 +37,38 @@ func TestNodeOfAndNumNodes(t *testing.T) {
 	}
 }
 
+// TestMultiNodeAmplifiesCAAdvantage: spreading the devices over nodes
+// hits the many-round strategies (MGS-like patterns) far harder than the
+// 2-round ones. The absolute time a 2-round window (CholQR) saves over a
+// 110-round one (MGS at s=9) must grow with the fabric latency, and at
+// 100us clearly exceed the single-node gap (the 100us/15us latency
+// ratio).
+func TestMultiNodeAmplifiesCAAdvantage(t *testing.T) {
+	cost := func(p Profile, rounds int) float64 {
+		ctx := NewContextWithProfile(3, p)
+		for i := 0; i < rounds; i++ {
+			ctx.Reduce(Op{Phase: "p", Sync: true}, []int{8, 8, 8})
+		}
+		return ctx.Stats().Phase("p").CommTime
+	}
+	gap := func(p Profile) float64 { return cost(p, 110) - cost(p, 2) }
+	single := DefaultProfile(M2090())
+	prev := gap(single)
+	gapSingle := prev
+	for _, lat := range []float64{5e-6, 25e-6, 100e-6} {
+		p := single
+		p.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Kind: FabricIBHDR, Latency: lat, Bandwidth: 3e9}}
+		g := gap(p)
+		if g <= prev {
+			t.Fatalf("fabric latency %g: gap %g not above %g", lat, g, prev)
+		}
+		prev = g
+	}
+	if prev < 5*gapSingle {
+		t.Fatalf("100us-fabric gap %v not clearly above single-node %v", prev, gapSingle)
+	}
+}
+
 // TestClusterPeerTiering: a same-node pair lands on BytesPeer at switch
 // cost; a cross-node pair lands on BytesInterNode and pays the fabric.
 func TestClusterPeerTiering(t *testing.T) {
@@ -46,7 +78,7 @@ func TestClusterPeerTiering(t *testing.T) {
 
 	// Same node (0 -> 1): pure node-local switch round.
 	before := c.Stats().TotalTime()
-	c.PeerExchange("local", pair(4, 0, 1, B))
+	c.Exchange(Op{Phase: "local", Sync: true}, nil, nil, pair(4, 0, 1, B))
 	got := c.Stats().TotalTime() - before
 	want := p.Topo.PeerLatency + float64(B)/p.Topo.PeerBandwidth
 	if !almostEq(got, want) {
@@ -59,7 +91,7 @@ func TestClusterPeerTiering(t *testing.T) {
 
 	// Cross node (0 -> 2): fabric leg only, no intra traffic.
 	before = c.Stats().TotalTime()
-	c.PeerExchange("cross", pair(4, 0, 2, B))
+	c.Exchange(Op{Phase: "cross", Sync: true}, nil, nil, pair(4, 0, 2, B))
 	got = c.Stats().TotalTime() - before
 	fab := p.Cluster.Fabric
 	want = fab.Latency + float64(B)/fab.Bandwidth
@@ -76,7 +108,7 @@ func TestClusterPeerTiering(t *testing.T) {
 	tr := pair(4, 0, 1, B)
 	tr[2][0] = B
 	before = c.Stats().TotalTime()
-	c.PeerExchange("mixed", tr)
+	c.Exchange(Op{Phase: "mixed", Sync: true}, nil, nil, tr)
 	got = c.Stats().TotalTime() - before
 	want = (p.Topo.PeerLatency + float64(B)/p.Topo.PeerBandwidth) +
 		(fab.Latency + float64(B)/fab.Bandwidth)
@@ -96,7 +128,7 @@ func TestClusterHostRound(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	bytes := []int{100, 200, 300, 400}
 	before := c.Stats().TotalTime()
-	c.ReduceRound("red", bytes)
+	c.Reduce(Op{Phase: "red", Sync: true}, bytes)
 	got := c.Stats().TotalTime() - before
 	// Node volumes: node0=300, node1=700. Local leg pays the most loaded
 	// node link; the remote node's aggregate then crosses the fabric.
@@ -129,8 +161,8 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	flat := NewContext(4, p.Model)
 	bytes := []int{100, 200, 300, 400}
-	c.ReduceRound("x", bytes)
-	flat.ReduceRound("x", bytes)
+	c.Reduce(Op{Phase: "x", Sync: true}, bytes)
+	flat.Reduce(Op{Phase: "x", Sync: true}, bytes)
 	a, b := c.Stats().Phase("x"), flat.Stats().Phase("x")
 	if a.CommTime != b.CommTime || a.BytesD2H != b.BytesD2H {
 		t.Errorf("one-node cluster reduce differs from flat: %v vs %v", a, b)
@@ -171,7 +203,7 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 	func() {
 		defer func() { recover() }()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Reduce(Op{Phase: "x", Sync: true}, []int{8, 8, 8, 8})
 	}()
 	surv, err := c.Survivors()
 	if err != nil {
@@ -188,7 +220,7 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 	}
 	// Logical 0 -> 1 is physical 0 -> 2: cross-node, must pay the fabric.
 	before := surv.Stats().TotalTime()
-	surv.PeerExchange("surv", pair(3, 0, 1, B))
+	surv.Exchange(Op{Phase: "surv", Sync: true}, nil, nil, pair(3, 0, 1, B))
 	got := surv.Stats().TotalTime() - before
 	fab := p.Cluster.Fabric
 	want := fab.Latency + float64(B)/fab.Bandwidth
@@ -204,12 +236,12 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 // on ledgers that actually crossed the fabric.
 func TestInterNodeColumnGating(t *testing.T) {
 	flat := NewContext(2, M2090())
-	flat.ReduceRound("x", []int{8, 8})
+	flat.Reduce(Op{Phase: "x", Sync: true}, []int{8, 8})
 	if strings.Contains(flat.Stats().String(), "bytesInter") {
 		t.Error("single-node ledger rendered a bytesInter column")
 	}
 	cl := NewContextWithProfile(4, clusterProfile())
-	cl.ReduceRound("x", []int{8, 8, 8, 8})
+	cl.Reduce(Op{Phase: "x", Sync: true}, []int{8, 8, 8, 8})
 	if !strings.Contains(cl.Stats().String(), "bytesInter") {
 		t.Error("clustered ledger missing the bytesInter column")
 	}

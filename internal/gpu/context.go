@@ -54,29 +54,6 @@ type CostModel struct {
 	// is unchanged. Memory-bound kernels are unaffected: their advantage
 	// comes from Work.Bytes, which the caller already halves.
 	FP32Speedup float64
-
-	// Multi-node extension (the paper's conclusion asks how CA-GMRES
-	// behaves when the GPUs are spread across compute nodes, where
-	// communication is more expensive). DevicesPerNode == 0 keeps the
-	// single-node model; otherwise devices are grouped into nodes of
-	// that size, and the share of a communication round that crosses
-	// node boundaries is charged at the interconnect constants below
-	// (overlapping with the intra-node PCIe share).
-	DevicesPerNode int
-	// InterLatency is the per-round network latency (e.g. ~25 us for
-	// InfiniBand QDR with MPI in the Keeneland era).
-	InterLatency float64
-	// InterBandwidth is the network bandwidth in bytes/second.
-	InterBandwidth float64
-}
-
-// MultiNode derives a clustered variant of a cost model: devicesPerNode
-// GPUs per node, joined by the given network constants.
-func MultiNode(base CostModel, devicesPerNode int, interLatency, interBandwidth float64) CostModel {
-	base.DevicesPerNode = devicesPerNode
-	base.InterLatency = interLatency
-	base.InterBandwidth = interBandwidth
-	return base
 }
 
 // M2090 returns a cost model calibrated to the paper's testbed: NVIDIA
@@ -196,127 +173,90 @@ func (m CostModel) deviceTime(w Work) float64 {
 	return t + m.KernelLaunch
 }
 
-// roundTime models one communication round: on a single node, one PCIe
-// latency plus the serialized bus time of the total volume. When the
-// model is multi-node, the local share still travels over PCIe while the
-// remote share crosses the interconnect; the two proceed concurrently,
-// so the round costs the maximum of the two paths.
-func (c *Context) roundTime(bytes []int) (total int, t float64) {
-	local, remote := 0, 0
-	for d, b := range bytes {
-		if c.Model.DevicesPerNode > 0 && d >= c.Model.DevicesPerNode {
-			remote += b
-		} else {
-			local += b
-		}
-	}
-	total = local + remote
-	t = c.Model.Latency + float64(local)/c.Model.Bandwidth
-	if c.Model.DevicesPerNode > 0 && len(bytes) > c.Model.DevicesPerNode {
-		inter := c.Model.InterLatency + float64(remote)/c.Model.InterBandwidth
-		if inter > t {
-			t = inter
-		}
-	}
-	return total, t
+// Op describes how one charge is scheduled and tagged; every charging
+// method takes one. The zero value (apart from Phase) is a stream
+// operation with no dependency, charged at FP64 width.
+type Op struct {
+	// Phase is the ledger row the charge lands on.
+	Phase string
+	// Elem tags a transfer's volume on the precision ledger columns: the
+	// caller has already scaled the bytes to that wire width. Kernels
+	// carry their width in Work.Elem; host compute has none.
+	Elem Elem
+	// After is the earliest start; Join several events for several
+	// dependencies.
+	After StreamEvent
+	// Sync makes the operation a full barrier on every stream. Without
+	// it the operation occupies only its own streams when overlap is
+	// enabled; with overlap disabled every operation is a barrier. The
+	// ledger charge is identical either way.
+	Sync bool
 }
 
-// ReduceRound records one device->host communication round in which every
+// Reduce records one device->host communication round in which every
 // device concurrently sends bytes[d] bytes (bytes may have fewer entries
 // than devices; missing entries are zero). The round is charged one
-// latency plus the serialized bus time of the total volume (per path in
-// the multi-node model). With a fault plan armed, the round first checks
+// latency plus the serialized bus time of the total volume (per tier on
+// a clustered profile) and delivers its payload to the host at the
+// returned event. With a fault plan armed, the round first checks
 // scheduled device deaths and then draws the seeded transfer-fault
 // stream, transparently retrying with capped exponential virtual-time
 // backoff.
-func (c *Context) ReduceRound(phase string, bytes []int) {
-	c.commRound(phase, dirD2H, bytes, Elem64, true, nil)
+func (c *Context) Reduce(op Op, bytes []int) StreamEvent {
+	return c.round(op, dirD2H, bytes)
 }
 
-// BroadcastRound records one host->device round (scatter/broadcast),
-// symmetric to ReduceRound.
-func (c *Context) BroadcastRound(phase string, bytes []int) {
-	c.commRound(phase, dirH2D, bytes, Elem64, true, nil)
+// Broadcast records one host->device round (scatter/broadcast),
+// symmetric to Reduce. It starts no earlier than the host holds data to
+// send (the last reduce's arrival); set op.After when the payload comes
+// from host compute.
+func (c *Context) Broadcast(op Op, bytes []int) StreamEvent {
+	return c.round(op, dirH2D, bytes)
 }
 
-// ReduceRoundElem is ReduceRound with an explicit element width: bytes
-// already reflect the narrow wire size; elem tags the volume on the
-// precision ledger columns. ReduceRound == ReduceRoundElem(..., Elem64).
-func (c *Context) ReduceRoundElem(phase string, bytes []int, elem Elem) {
-	c.commRound(phase, dirD2H, bytes, elem, true, nil)
-}
-
-// BroadcastRoundElem is BroadcastRound with an explicit element width.
-func (c *Context) BroadcastRoundElem(phase string, bytes []int, elem Elem) {
-	c.commRound(phase, dirH2D, bytes, elem, true, nil)
-}
-
-// commRound is the shared implementation behind the synchronous rounds
-// (barrier=true: a full barrier on every stream) and the *On stream
-// variants (barrier=false: the round occupies only the participating
-// transfer streams when overlap is enabled). The ledger charge is
-// identical in both modes; elem tags the round's element width on the
-// precision columns (bytes are already at that width).
-func (c *Context) commRound(phase string, dir direction, bytes []int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
-	c.checkDeaths(phase)
+// round charges one host round in either direction: death check, round
+// time, fault injection, ledger, timeline.
+func (c *Context) round(op Op, dir direction, bytes []int) StreamEvent {
+	c.checkDeaths(op.Phase)
+	t := c.roundTime(bytes)
+	stall := c.injectTransferFaults(op.Phase, t)
+	devs := c.devIDs(len(bytes))
+	var nodeOf []int
 	if c.clustered() {
-		// Two-tier machine: each node's share crosses its own host link,
-		// then remote nodes' aggregates cross the fabric to the root host.
-		t, _ := c.clusterRoundTime(bytes)
-		stall := c.injectTransferFaults(phase, t)
-		c.stats.addCommTiered(phase, dir, c.devIDs(len(bytes)), bytes, c.nodeOfLogical(len(bytes)), t, elem)
-		return c.timeline.comm(phase, dir == dirH2D, c.devIDs(len(bytes)), t, stall, barrier, after)
+		nodeOf = c.nodeOfLogical(len(bytes))
 	}
-	_, t := c.roundTime(bytes)
-	stall := c.injectTransferFaults(phase, t)
-	c.stats.addComm(phase, dir, c.devIDs(len(bytes)), bytes, t, elem)
-	return c.timeline.comm(phase, dir == dirH2D, c.devIDs(len(bytes)), t, stall, barrier, after)
+	c.stats.addComm(op.Phase, dir, devs, bytes, nodeOf, t, op.Elem)
+	edge := edgeDeliver
+	if dir == dirH2D {
+		edge = edgeWait
+	}
+	return c.timeline.submit(LaneTransfer, edge, op.Phase, devs, []float64{t}, stall, op.After, op.Sync)
 }
 
-// DeviceKernel records a parallel device kernel: every device executes
-// its own work item concurrently, so the phase advances by the maximum
+// Kernel records a parallel device kernel: every device executes its
+// own work item concurrently, so the phase advances by the maximum
 // device time while each device's own ledger is charged its own time
 // (work[d] is device d's share — the index is the device id within this
 // context's view; straggler devices are slowed by their configured
-// factor).
-func (c *Context) DeviceKernel(phase string, work []Work) {
-	c.deviceKernel(phase, work, true, nil)
-}
-
-func (c *Context) deviceKernel(phase string, work []Work, barrier bool, after []StreamEvent) StreamEvent {
-	c.checkDeaths(phase)
+// factor). The returned event fires when the slowest device finishes.
+func (c *Context) Kernel(op Op, work []Work) StreamEvent {
+	c.checkDeaths(op.Phase)
 	ts := make([]float64, len(work))
 	for d, w := range work {
 		ts[d] = c.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
 	}
-	c.stats.addCompute(phase, c.devIDs(len(work)), ts, work)
-	return c.timeline.kernel(phase, c.devIDs(len(work)), ts, barrier, after)
+	devs := c.devIDs(len(work))
+	c.stats.addCompute(op.Phase, devs, ts, work)
+	return c.timeline.submit(LaneCompute, edgeNone, op.Phase, devs, ts, 0, op.After, op.Sync)
 }
 
-// UniformKernel is DeviceKernel for identical per-device work.
-func (c *Context) UniformKernel(phase string, w Work) {
-	c.checkDeaths(phase)
-	t := c.Model.deviceTime(w)
-	work := make([]Work, c.NumDevices)
-	ts := make([]float64, c.NumDevices)
-	for d := range work {
-		work[d] = w
-		ts[d] = t * c.faults.stragglerFactor(c.physOf(d))
-	}
-	c.stats.addCompute(phase, c.devIDs(len(work)), ts, work)
-	c.timeline.kernel(phase, c.devIDs(len(work)), ts, true, nil)
-}
-
-// HostCompute records flops executed on the CPU (the Cholesky, small QR,
-// eigenvalue and least-squares work the paper leaves on the host).
-func (c *Context) HostCompute(phase string, flops float64) {
-	c.hostCompute(phase, flops, true, nil)
-}
-
-func (c *Context) hostCompute(phase string, flops float64, barrier bool, after []StreamEvent) StreamEvent {
+// Host records flops executed on the CPU (the Cholesky, small QR,
+// eigenvalue and least-squares work the paper leaves on the host), on
+// the host stream.
+func (c *Context) Host(op Op, flops float64) StreamEvent {
 	t := flops / (c.Model.HostGflops * 1e9)
-	c.stats.addHost(phase, t, flops)
-	return c.timeline.hostOp(phase, t, barrier, after)
+	c.stats.addHost(op.Phase, t, flops)
+	return c.timeline.submit(LaneHost, edgeWait, op.Phase, []int{HostDevice}, []float64{t}, 0, op.After, op.Sync)
 }
 
 // ScalarBytes is the wire size of one float64.

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// repeatWork returns n copies of w: identical work on every device.
+func repeatWork(n int, w Work) []Work {
+	work := make([]Work, n)
+	for d := range work {
+		work[d] = w
+	}
+	return work
+}
+
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol*(math.Abs(a)+math.Abs(b)+1e-300) }
 
 func TestNewContextValidates(t *testing.T) {
@@ -65,7 +74,7 @@ func TestRunAllPropagatesPanic(t *testing.T) {
 func TestReduceRoundAccounting(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(3, m)
-	ctx.ReduceRound("tsqr", []int{100, 200, 300})
+	ctx.Reduce(Op{Phase: "tsqr", Sync: true}, []int{100, 200, 300})
 	p := ctx.Stats().Phase("tsqr")
 	if p.Rounds != 1 || p.Messages != 3 {
 		t.Fatalf("rounds=%d msgs=%d", p.Rounds, p.Messages)
@@ -81,7 +90,7 @@ func TestReduceRoundAccounting(t *testing.T) {
 
 func TestBroadcastRoundAccounting(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.BroadcastRound("borth", []int{50, 50})
+	ctx.Broadcast(Op{Phase: "borth", Sync: true}, []int{50, 50})
 	p := ctx.Stats().Phase("borth")
 	if p.BytesH2D != 100 || p.BytesD2H != 0 || p.Rounds != 1 {
 		t.Fatalf("stats %+v", p)
@@ -93,8 +102,8 @@ func TestLatencyPaidPerRoundNotPerMessage(t *testing.T) {
 	// property that gives MPK its factor-of-s latency win.
 	m := M2090()
 	ctx := NewContext(3, m)
-	ctx.ReduceRound("x", []int{0, 0, 0})
-	ctx.ReduceRound("x", []int{0, 0, 0})
+	ctx.Reduce(Op{Phase: "x", Sync: true}, []int{0, 0, 0})
+	ctx.Reduce(Op{Phase: "x", Sync: true}, []int{0, 0, 0})
 	p := ctx.Stats().Phase("x")
 	if !approx(p.CommTime, 2*m.Latency, 1e-12) {
 		t.Fatalf("comm time %v, want %v", p.CommTime, 2*m.Latency)
@@ -105,7 +114,7 @@ func TestDeviceKernelTakesMax(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(2, m)
 	w := []Work{{Flops: 3e9}, {Flops: 6e9}}
-	ctx.DeviceKernel("gemm", w)
+	ctx.Kernel(Op{Phase: "gemm", Sync: true}, w)
 	p := ctx.Stats().Phase("gemm")
 	want := 6e9/(m.DeviceGflops*1e9) + m.KernelLaunch
 	if !approx(p.DeviceTime, want, 1e-12) {
@@ -124,7 +133,7 @@ func TestMemoryBoundKernel(t *testing.T) {
 	// bandwidth, the SpMV regime.
 	m := M2090()
 	ctx := NewContext(1, m)
-	ctx.UniformKernel("spmv", Work{Flops: 1e6, Bytes: 1.2e9})
+	ctx.Kernel(Op{Phase: "spmv", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 1e6, Bytes: 1.2e9}))
 	p := ctx.Stats().Phase("spmv")
 	want := 1.2e9/m.DeviceMemBW + m.KernelLaunch
 	if !approx(p.DeviceTime, want, 1e-12) {
@@ -135,7 +144,7 @@ func TestMemoryBoundKernel(t *testing.T) {
 func TestHostCompute(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(1, m)
-	ctx.HostCompute("lsq", 2e9)
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 2e9)
 	p := ctx.Stats().Phase("lsq")
 	if !approx(p.HostTime, 2e9/(m.HostGflops*1e9), 1e-12) {
 		t.Fatalf("host time %v", p.HostTime)
@@ -146,10 +155,10 @@ func TestStatsMerge(t *testing.T) {
 	a := NewStats()
 	b := NewStats()
 	ctx := &Context{NumDevices: 1, Model: M2090(), stats: a, timeline: newTimeline(false)}
-	ctx.ReduceRound("p", []int{8})
+	ctx.Reduce(Op{Phase: "p", Sync: true}, []int{8})
 	ctx2 := &Context{NumDevices: 1, Model: M2090(), stats: b, timeline: newTimeline(false)}
-	ctx2.ReduceRound("p", []int{8})
-	ctx2.HostCompute("q", 1e9)
+	ctx2.Reduce(Op{Phase: "p", Sync: true}, []int{8})
+	ctx2.Host(Op{Phase: "q", Sync: true}, 1e9)
 	a.Merge(b)
 	if a.Phase("p").Rounds != 2 {
 		t.Fatalf("merged rounds = %d", a.Phase("p").Rounds)
@@ -161,9 +170,9 @@ func TestStatsMerge(t *testing.T) {
 
 func TestStatsTotalAndString(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.ReduceRound("tsqr", []int{100, 100})
-	ctx.UniformKernel("tsqr", Work{Flops: 1e9})
-	ctx.HostCompute("lsq", 1e8)
+	ctx.Reduce(Op{Phase: "tsqr", Sync: true}, []int{100, 100})
+	ctx.Kernel(Op{Phase: "tsqr", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 1e9}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 1e8)
 	total := ctx.Stats().TotalTime()
 	want := ctx.Stats().Phase("tsqr").Total() + ctx.Stats().Phase("lsq").Total()
 	if !approx(total, want, 1e-12) {
@@ -177,7 +186,7 @@ func TestStatsTotalAndString(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.ReduceRound("p", []int{8})
+	ctx.Reduce(Op{Phase: "p", Sync: true}, []int{8})
 	ctx.ResetStats()
 	if ctx.Stats().Phase("p").Rounds != 0 {
 		t.Fatal("reset did not clear")
@@ -186,8 +195,8 @@ func TestResetStats(t *testing.T) {
 
 func TestPhasesSorted(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.HostCompute("zeta", 1)
-	ctx.HostCompute("alpha", 1)
+	ctx.Host(Op{Phase: "zeta", Sync: true}, 1)
+	ctx.Host(Op{Phase: "alpha", Sync: true}, 1)
 	names := ctx.Stats().Phases()
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
 		t.Fatalf("phases = %v", names)
@@ -213,10 +222,10 @@ func TestM2090Sanity(t *testing.T) {
 func TestTraceRecordsEvents(t *testing.T) {
 	ctx := NewContext(2, M2090())
 	ctx.Stats().EnableTrace(100)
-	ctx.ReduceRound("tsqr", []int{8, 8})
-	ctx.BroadcastRound("tsqr", []int{4, 4})
-	ctx.UniformKernel("spmv", Work{Flops: 1e6})
-	ctx.HostCompute("lsq", 1e3)
+	ctx.Reduce(Op{Phase: "tsqr", Sync: true}, []int{8, 8})
+	ctx.Broadcast(Op{Phase: "tsqr", Sync: true}, []int{4, 4})
+	ctx.Kernel(Op{Phase: "spmv", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 1e6}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 1e3)
 	ev := ctx.Stats().Trace()
 	// The kernel launch fans out into one event per device, sharing a Step.
 	if len(ev) != 5 {
@@ -250,7 +259,7 @@ func TestTraceRingBufferKeepsTail(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 10; i++ {
-		ctx.ReduceRound("p", []int{i})
+		ctx.Reduce(Op{Phase: "p", Sync: true}, []int{i})
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {
@@ -266,7 +275,7 @@ func TestTraceRingBufferKeepsTail(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.ReduceRound("p", []int{8})
+	ctx.Reduce(Op{Phase: "p", Sync: true}, []int{8})
 	if len(ctx.Stats().Trace()) != 0 {
 		t.Fatal("trace recorded without EnableTrace")
 	}

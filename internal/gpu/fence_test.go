@@ -26,39 +26,39 @@ func fenceWorkload(ctx *Context) {
 		Deaths:            []DeviceDeath{{Device: 1, At: 0.09}},
 		Stragglers:        []Straggler{{Device: 2, Factor: 1.5}},
 	})
-	ctx.ReduceRound("mpk", []int{4096, 2048, 1024})
-	ctx.BroadcastRound("mpk", []int{8192, 8192, 8192})
-	ctx.DeviceKernel("spmv", []Work{
+	ctx.Reduce(Op{Phase: "mpk", Sync: true}, []int{4096, 2048, 1024})
+	ctx.Broadcast(Op{Phase: "mpk", Sync: true}, []int{8192, 8192, 8192})
+	ctx.Kernel(Op{Phase: "spmv", Sync: true}, []Work{
 		{Flops: 2e8, Bytes: 1.5e9},
 		{Flops: 1e8, Bytes: 0.8e9},
 		{Flops: 3e8, Bytes: 2.1e9},
 	})
-	ctx.UniformKernel("tsqr", Work{Flops: 5.4e8, Bytes: 2.4e8})
-	ctx.HostCompute("lsq", 1.86e6)
-	ev := ctx.ReduceRoundOn("borth", []int{7440, 7440, 7440})
-	ev = ctx.DeviceKernelOn("borth", []Work{
+	ctx.Kernel(Op{Phase: "tsqr", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 5.4e8, Bytes: 2.4e8}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 1.86e6)
+	ev := ctx.Reduce(Op{Phase: "borth"}, []int{7440, 7440, 7440})
+	ev = ctx.Kernel(Op{Phase: "borth", After: ev}, []Work{
 		{Flops: 1e7, Bytes: 4e7},
 		{Flops: 1e7, Bytes: 4e7},
 		{Flops: 1e7, Bytes: 4e7},
-	}, ev)
-	ctx.HostComputeOn("lsq", 9.3e5, ev)
+	})
+	ctx.Host(Op{Phase: "lsq", After: ev}, 9.3e5)
 	// Push the clock past the scheduled death, recover the panic, then
 	// keep charging through the Survivors view.
-	ctx.UniformKernel("spmv", Work{Flops: 9e8, Bytes: 6e9})
+	ctx.Kernel(Op{Phase: "spmv", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 9e8, Bytes: 6e9}))
 	func() {
 		defer func() {
 			if r := recover(); r == nil {
 				panic("fence: expected DeviceLostError")
 			}
 		}()
-		ctx.ReduceRound("mpk", []int{512, 512, 512})
+		ctx.Reduce(Op{Phase: "mpk", Sync: true}, []int{512, 512, 512})
 	}()
 	view, err := ctx.Survivors()
 	if err != nil {
 		panic(err)
 	}
-	view.ReduceRound("mpk", []int{512, 512})
-	view.DeviceKernel("spmv", []Work{
+	view.Reduce(Op{Phase: "mpk", Sync: true}, []int{512, 512})
+	view.Kernel(Op{Phase: "spmv", Sync: true}, []Work{
 		{Flops: 5e7, Bytes: 4e8},
 		{Flops: 5e7, Bytes: 4e8},
 	})

@@ -37,11 +37,11 @@ func TestStatsStringGolden(t *testing.T) {
 	// fully deterministic, so any drift in the report format (or in the
 	// cost constants it summarizes) must be a conscious golden update.
 	ctx := NewContext(3, M2090())
-	ctx.ReduceRound("mpk", []int{4096, 4096, 4096})
-	ctx.BroadcastRound("mpk", []int{8192, 8192, 8192})
-	ctx.UniformKernel("spmv", Work{Flops: 2e8, Bytes: 1.5e9})
-	ctx.ReduceRound("tsqr", []int{7440, 7440, 7440})
-	ctx.UniformKernel("tsqr", Work{Flops: 5.4e8, Bytes: 2.4e8})
-	ctx.HostCompute("lsq", 1.86e6)
+	ctx.Reduce(Op{Phase: "mpk", Sync: true}, []int{4096, 4096, 4096})
+	ctx.Broadcast(Op{Phase: "mpk", Sync: true}, []int{8192, 8192, 8192})
+	ctx.Kernel(Op{Phase: "spmv", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 2e8, Bytes: 1.5e9}))
+	ctx.Reduce(Op{Phase: "tsqr", Sync: true}, []int{7440, 7440, 7440})
+	ctx.Kernel(Op{Phase: "tsqr", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 5.4e8, Bytes: 2.4e8}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 1.86e6)
 	goldenCompare(t, "stats_string.golden", ctx.Stats().String())
 }

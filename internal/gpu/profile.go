@@ -246,79 +246,46 @@ func peerMessages(traffic [][]int) int {
 	return n
 }
 
-// peerRound is the shared implementation of the peer exchange charges:
-// death check, routing, fault injection, ledger, timeline. On a
-// clustered profile the round routes over the two-tier interconnect and
-// splits the ledger charge between the node-local and fabric columns.
-func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
+// Exchange charges one device-to-device exchange the way the profile
+// routes it. Host-mediated topologies replay the paper's protocol byte
+// for byte: a device-to-host reduce of send (each device's compressed
+// boundary, every value once) followed by a host-to-device broadcast of
+// recv (each device's halo), the second leg depending on the first.
+// Nil send and recv stand for traffic's per-device send and receive
+// totals. Peer-to-peer topologies ship traffic[s][d] bytes from logical
+// device s to logical device d directly (a value consumed by two peers
+// is sent twice — the price of skipping the host's deduplicating staging
+// buffer) in a single round costing the topology's bottleneck path; a
+// clustered profile always routes the traffic matrix, node-local pairs
+// over the peer tier and cross-node pairs over the fabric, splitting
+// the ledger charge between the node-local and fabric columns. A nil
+// traffic matrix forces the host path regardless of topology. op.Elem
+// tags the round(s) in the precision ledger; the caller has already
+// scaled every volume to that wire width.
+func (c *Context) Exchange(op Op, send, recv []int, traffic [][]int) StreamEvent {
+	if traffic == nil || !c.prof.Topo.PeerToPeer() && !c.clustered() {
+		if send == nil && recv == nil {
+			send, recv = rowTotals(traffic), colTotals(traffic)
+		}
+		op.After = c.round(op, dirD2H, send)
+		return c.round(op, dirH2D, recv)
+	}
 	if len(traffic) != c.NumDevices {
 		panic(fmt.Sprintf("gpu: peer traffic for %d devices on a %d-device context", len(traffic), c.NumDevices))
 	}
-	c.checkDeaths(phase)
+	c.checkDeaths(op.Phase)
+	var t float64
+	var nodeOf []int
 	if c.clustered() {
-		t, _ := c.routeCluster(traffic)
-		stall := c.injectTransferFaults(phase, t)
-		c.stats.addPeerTiered(phase, c.devIDs(len(traffic)), traffic, c.nodeOfLogical(len(traffic)), t, elem)
-		return c.timeline.peer(phase, c.devIDs(len(traffic)), t, stall, barrier, after)
+		t, _ = c.routeCluster(traffic)
+		nodeOf = c.nodeOfLogical(len(traffic))
+	} else {
+		t = c.routePeer(traffic)
 	}
-	t := c.routePeer(traffic)
-	stall := c.injectTransferFaults(phase, t)
-	c.stats.addPeer(phase, c.devIDs(len(traffic)), traffic, t, elem)
-	return c.timeline.peer(phase, c.devIDs(len(traffic)), t, stall, barrier, after)
-}
-
-// PeerExchange records one device-to-device exchange round routed over
-// the profile's topology: traffic[s][d] bytes travel from logical device
-// s to logical device d, all pairs concurrently, and the round costs the
-// topology's bottleneck path. On a host-hub topology the exchange
-// bounces through the host: a reduce round of the per-device send totals
-// followed by a broadcast round of the receive totals. A full barrier,
-// like the other synchronous charges.
-func (c *Context) PeerExchange(phase string, traffic [][]int) {
-	if !c.prof.Topo.PeerToPeer() && !c.clustered() {
-		c.commRound(phase, dirD2H, rowTotals(traffic), Elem64, true, nil)
-		c.commRound(phase, dirH2D, colTotals(traffic), Elem64, true, nil)
-		return
-	}
-	c.peerRound(phase, traffic, Elem64, true, nil)
-}
-
-// PeerExchangeOn is PeerExchange as a stream operation: the round
-// occupies the transfer streams of every participating device after its
-// dependencies. Ledger charges are identical to PeerExchange.
-func (c *Context) PeerExchangeOn(phase string, traffic [][]int, after ...StreamEvent) StreamEvent {
-	if !c.prof.Topo.PeerToPeer() && !c.clustered() {
-		red := c.commRound(phase, dirD2H, rowTotals(traffic), Elem64, false, after)
-		return c.commRound(phase, dirH2D, colTotals(traffic), Elem64, false, []StreamEvent{red})
-	}
-	return c.peerRound(phase, traffic, Elem64, false, after)
-}
-
-// HaloExchangeOn charges one halo exchange the way the profile routes
-// it. Host-mediated topologies replay the paper's protocol byte for
-// byte: a device-to-host reduce of sendBytes (each device's compressed
-// boundary, every value once) followed by a host-to-device broadcast of
-// recvBytes (each device's halo), the second leg depending on the first.
-// Peer-to-peer topologies ship traffic[s][d] directly (a value consumed
-// by two peers is sent twice — the price of skipping the host's
-// deduplicating staging buffer) in a single routed round. A nil traffic
-// matrix forces the host path regardless of topology.
-func (c *Context) HaloExchangeOn(phase string, sendBytes, recvBytes []int, traffic [][]int, after ...StreamEvent) StreamEvent {
-	return c.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, Elem64, after...)
-}
-
-// HaloExchangeElemOn is HaloExchangeOn with an explicit element width:
-// the caller has already scaled sendBytes/recvBytes/traffic to the
-// narrow wire size, and elem tags the round in the precision ledger.
-// Elem64 replays HaloExchangeOn byte for byte.
-func (c *Context) HaloExchangeElemOn(phase string, sendBytes, recvBytes []int, traffic [][]int, elem Elem, after ...StreamEvent) StreamEvent {
-	// A clustered profile always routes the traffic matrix: node-local
-	// pairs over the peer tier, cross-node pairs over the fabric.
-	if traffic != nil && (c.prof.Topo.PeerToPeer() || c.clustered()) {
-		return c.peerRound(phase, traffic, elem, false, after)
-	}
-	red := c.commRound(phase, dirD2H, sendBytes, elem, false, after)
-	return c.commRound(phase, dirH2D, recvBytes, elem, false, []StreamEvent{red})
+	stall := c.injectTransferFaults(op.Phase, t)
+	devs := c.devIDs(len(traffic))
+	c.stats.addPeer(op.Phase, devs, traffic, nodeOf, t, op.Elem)
+	return c.timeline.submit(LaneTransfer, edgeNone, op.Phase, devs, []float64{t}, stall, op.After, op.Sync)
 }
 
 func rowTotals(traffic [][]int) []int {

@@ -38,11 +38,11 @@ type PhaseStats struct {
 	BytesFP32       int
 	BytesCompressed int
 	CommTime        float64 // modeled seconds of communication
-	DeviceTime  float64 // modeled seconds of device compute (max over devices per kernel)
-	DeviceFlops float64 // total flops summed over devices
-	HostTime    float64 // modeled seconds of host compute
-	HostFlops   float64
-	Kernels     int // device kernel launches
+	DeviceTime      float64 // modeled seconds of device compute (max over devices per kernel)
+	DeviceFlops     float64 // total flops summed over devices
+	HostTime        float64 // modeled seconds of host compute
+	HostFlops       float64
+	Kernels         int // device kernel launches
 }
 
 // Total returns the modeled wall time of the phase.
@@ -205,20 +205,28 @@ func tagElem(p *PhaseStats, elem Elem, bytes int) {
 	}
 }
 
-// addComm charges one communication round: bytes[d] is logical device
-// d's share, devs[d] its physical id on the ledger, t the modeled time
-// of the whole round. Every participating device is occupied for the
-// full round, so each per-device ledger is charged t. elem tags the
-// round's element width on the precision columns.
-func (s *Stats) addComm(phase string, dir direction, devs, bytes []int, t float64, elem Elem) {
+// addComm charges one host communication round: bytes[d] is logical
+// device d's share, devs[d] its physical id on the ledger, nodeOf[d] its
+// node (nil on a single node), t the modeled time of the whole round.
+// Every participating device is occupied for the full round, so each
+// per-device ledger is charged t. The full volume lands on the D2H/H2D
+// column (every byte crosses its own node's local tier), while each
+// remote-node device's share is additionally charged to BytesInterNode
+// — the second hop those bytes take over the fabric to reach the root
+// node's host. elem tags the round's element width on the precision
+// columns.
+func (s *Stats) addComm(phase string, dir direction, devs, bytes []int, nodeOf []int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.get(phase)
 	p.Rounds++
 	p.Messages += len(bytes)
-	var total int
-	for _, b := range bytes {
+	var total, inter int
+	for d, b := range bytes {
 		total += b
+		if nodeOf != nil && nodeOf[d] != 0 {
+			inter += b
+		}
 	}
 	kind := "reduce"
 	if dir == dirD2H {
@@ -227,6 +235,7 @@ func (s *Stats) addComm(phase string, dir direction, devs, bytes []int, t float6
 		p.BytesH2D += total
 		kind = "broadcast"
 	}
+	p.BytesInterNode += inter
 	tagElem(p, elem, total)
 	p.CommTime += t
 	for d, b := range bytes {
@@ -237,6 +246,9 @@ func (s *Stats) addComm(phase string, dir direction, devs, bytes []int, t float6
 			dp.BytesD2H += b
 		} else {
 			dp.BytesH2D += b
+		}
+		if nodeOf != nil && nodeOf[d] != 0 {
+			dp.BytesInterNode += b
 		}
 		tagElem(dp, elem, b)
 		dp.CommTime += t
@@ -277,18 +289,21 @@ func (s *Stats) addCompute(phase string, devs []int, ts []float64, work []Work) 
 
 // addPeer charges one peer-to-peer exchange round: traffic[s][d] is the
 // volume logical device s shipped to logical device d, devs the physical
-// ids, t the routed time of the whole round. Every participating device
-// is occupied for the full round; each device's ledger is charged the
-// bytes it sent plus the bytes it received.
-func (s *Stats) addPeer(phase string, devs []int, traffic [][]int, t float64, elem Elem) {
+// ids, nodeOf[d] logical device d's node (nil on a single node), t the
+// routed time of the whole round. Same-node pairs land in BytesPeer
+// (the node-local tier), cross-node pairs in BytesInterNode (the
+// fabric). Every participating device is occupied for the full round;
+// each device's ledger is charged the bytes it sent plus the bytes it
+// received.
+func (s *Stats) addPeer(phase string, devs []int, traffic [][]int, nodeOf []int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.get(phase)
 	p.Rounds++
 	p.CommTime += t
 	total := 0
-	sent := make([]int, len(traffic))
-	recv := make([]int, len(traffic))
+	local := make([]int, len(traffic))
+	inter := make([]int, len(traffic))
 	for a, row := range traffic {
 		for b, v := range row {
 			if a == b || v <= 0 {
@@ -296,54 +311,14 @@ func (s *Stats) addPeer(phase string, devs []int, traffic [][]int, t float64, el
 			}
 			p.Messages++
 			total += v
-			sent[a] += v
-			recv[b] += v
-		}
-	}
-	p.BytesPeer += total
-	tagElem(p, elem, total)
-	for d := range traffic {
-		dp := s.devGet(devs[d], phase)
-		dp.Rounds++
-		dp.Messages++
-		dp.BytesPeer += sent[d] + recv[d]
-		tagElem(dp, elem, sent[d]+recv[d])
-		dp.CommTime += t
-	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: "peer", Bytes: total, Time: t})
-}
-
-// addPeerTiered charges one exchange round routed over a two-tier
-// cluster interconnect: same-node pairs of the traffic matrix land in
-// BytesPeer (the node-local tier), cross-node pairs in BytesInterNode
-// (the fabric). nodeOf[d] is logical device d's node. One trace event is
-// recorded for the whole round, like addPeer.
-func (s *Stats) addPeerTiered(phase string, devs []int, traffic [][]int, nodeOf []int, t float64, elem Elem) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.get(phase)
-	p.Rounds++
-	p.CommTime += t
-	total := 0
-	sentLocal := make([]int, len(traffic))
-	recvLocal := make([]int, len(traffic))
-	sentInter := make([]int, len(traffic))
-	recvInter := make([]int, len(traffic))
-	for a, row := range traffic {
-		for b, v := range row {
-			if a == b || v <= 0 {
-				continue
-			}
-			p.Messages++
-			total += v
-			if nodeOf[a] == nodeOf[b] {
+			if nodeOf == nil || nodeOf[a] == nodeOf[b] {
 				p.BytesPeer += v
-				sentLocal[a] += v
-				recvLocal[b] += v
+				local[a] += v
+				local[b] += v
 			} else {
 				p.BytesInterNode += v
-				sentInter[a] += v
-				recvInter[b] += v
+				inter[a] += v
+				inter[b] += v
 			}
 		}
 	}
@@ -352,58 +327,12 @@ func (s *Stats) addPeerTiered(phase string, devs []int, traffic [][]int, nodeOf 
 		dp := s.devGet(devs[d], phase)
 		dp.Rounds++
 		dp.Messages++
-		dp.BytesPeer += sentLocal[d] + recvLocal[d]
-		dp.BytesInterNode += sentInter[d] + recvInter[d]
-		tagElem(dp, elem, sentLocal[d]+recvLocal[d]+sentInter[d]+recvInter[d])
+		dp.BytesPeer += local[d]
+		dp.BytesInterNode += inter[d]
+		tagElem(dp, elem, local[d]+inter[d])
 		dp.CommTime += t
 	}
 	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: "peer", Bytes: total, Time: t})
-}
-
-// addCommTiered is addComm for a clustered context: the host round's
-// full volume stays on the D2H/H2D column (every byte crosses its own
-// node's local tier), while each remote-node device's share is
-// additionally charged to BytesInterNode — the second hop those bytes
-// take over the fabric to reach the root node's host.
-func (s *Stats) addCommTiered(phase string, dir direction, devs, bytes []int, nodeOf []int, t float64, elem Elem) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.get(phase)
-	p.Rounds++
-	p.Messages += len(bytes)
-	var total, inter int
-	for d, b := range bytes {
-		total += b
-		if nodeOf[d] != 0 {
-			inter += b
-		}
-	}
-	kind := "reduce"
-	if dir == dirD2H {
-		p.BytesD2H += total
-	} else {
-		p.BytesH2D += total
-		kind = "broadcast"
-	}
-	p.BytesInterNode += inter
-	tagElem(p, elem, total)
-	p.CommTime += t
-	for d, b := range bytes {
-		dp := s.devGet(devs[d], phase)
-		dp.Rounds++
-		dp.Messages++
-		if dir == dirD2H {
-			dp.BytesD2H += b
-		} else {
-			dp.BytesH2D += b
-		}
-		if nodeOf[d] != 0 {
-			dp.BytesInterNode += b
-		}
-		tagElem(dp, elem, b)
-		dp.CommTime += t
-	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: kind, Bytes: total, Time: t})
 }
 
 // addFault charges fault-recovery overhead: t modeled seconds on the

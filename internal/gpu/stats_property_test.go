@@ -22,9 +22,9 @@ func fillLedger(rng *rand.Rand, s *Stats, phases []string) {
 		phase := phases[rng.Intn(len(phases))]
 		switch rng.Intn(4) {
 		case 0:
-			s.addComm(phase, dirD2H, []int{0, 1, 2}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
+			s.addComm(phase, dirD2H, []int{0, 1, 2}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12), rng.Intn(1 << 12)}, nil, dyadic(rng), Elem(rng.Intn(3)))
 		case 1:
-			s.addComm(phase, dirH2D, []int{0, 1}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
+			s.addComm(phase, dirH2D, []int{0, 1}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12)}, nil, dyadic(rng), Elem(rng.Intn(3)))
 		case 2:
 			s.addCompute(phase, []int{0, 1}, []float64{dyadic(rng), dyadic(rng)}, []Work{
 				{Flops: float64(rng.Intn(1 << 20)), Bytes: float64(rng.Intn(1 << 20))},
@@ -121,11 +121,11 @@ func TestEnableTraceRearmMidTrace(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(5)
 	for i := 0; i < 7; i++ { // wrap once: Seq is now past the capacity
-		ctx.ReduceRound("warm", []int{i})
+		ctx.Reduce(Op{Phase: "warm", Sync: true}, []int{i})
 	}
 	ctx.Stats().EnableTrace(5) // re-arm mid-trace
 	for i := 0; i < 6; i++ {   // one past capacity again
-		ctx.ReduceRound("p", []int{100 + i})
+		ctx.Reduce(Op{Phase: "p", Sync: true}, []int{100 + i})
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 5 {
@@ -143,7 +143,7 @@ func TestEnableTraceRearmMidTrace(t *testing.T) {
 }
 
 func TestPerDeviceAttribution(t *testing.T) {
-	// DeviceKernel charges each device its own modeled time; the phase
+	// Kernel charges each device its own modeled time; the phase
 	// aggregate advances by the maximum. Comm rounds charge every
 	// participating device the full round time and its own byte share.
 	model := M2090()
@@ -153,7 +153,7 @@ func TestPerDeviceAttribution(t *testing.T) {
 		{Flops: 4e9, Bytes: 0}, // 4x slower: the straggler
 		{Flops: 2e9, Bytes: 0},
 	}
-	ctx.DeviceKernel("tsqr", work)
+	ctx.Kernel(Op{Phase: "tsqr", Sync: true}, work)
 	for d, w := range work {
 		want := w.Flops/(model.DeviceGflops*1e9) + model.KernelLaunch
 		got := ctx.Stats().DevicePhase(d, "tsqr")
@@ -171,8 +171,8 @@ func TestPerDeviceAttribution(t *testing.T) {
 	}
 
 	bytes := []int{100, 200, 300}
-	ctx.ReduceRound("mpk", bytes)
-	_, roundT := ctx.roundTime(bytes)
+	ctx.Reduce(Op{Phase: "mpk", Sync: true}, bytes)
+	roundT := ctx.roundTime(bytes)
 	for d, b := range bytes {
 		got := ctx.Stats().DevicePhase(d, "mpk")
 		if got.BytesD2H != b || got.CommTime != roundT || got.Rounds != 1 || got.Messages != 1 {
@@ -194,7 +194,7 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 		ctx := NewContext(1, M2090())
 		ctx.Stats().EnableTrace(capacity)
 		for i := 0; i < count; i++ {
-			ctx.ReduceRound("p", []int{i})
+			ctx.Reduce(Op{Phase: "p", Sync: true}, []int{i})
 		}
 		ev := ctx.Stats().Trace()
 		wantLen := count
@@ -216,75 +216,11 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 	}
 }
 
-func TestRoundTimeMultiNodeMaxProperty(t *testing.T) {
-	// The multi-node branch of roundTime charges the maximum of the PCIe
-	// path (local share) and the interconnect path (remote share), for
-	// any byte distribution — including the regimes where each side
-	// dominates.
-	model := MultiNode(M2090(), 2, 25e-6, 3e9)
-	ctx := NewContext(4, model)
-	rng := rand.New(rand.NewSource(42))
-	cases := [][]int{
-		{1 << 24, 1 << 24, 8, 8}, // huge local, tiny remote: PCIe dominates
-		{8, 8, 1 << 24, 1 << 24}, // tiny local, huge remote: interconnect dominates
-		{0, 0, 0, 0},             // pure latency
-		{1 << 20, 0, 0, 1 << 20}, // split
-		{0, 0, 1 << 10, 0},       // remote only
-	}
-	for trial := 0; trial < 200; trial++ {
-		cases = append(cases, []int{rng.Intn(1 << 22), rng.Intn(1 << 22), rng.Intn(1 << 22), rng.Intn(1 << 22)})
-	}
-	for _, bytes := range cases {
-		local := bytes[0] + bytes[1]
-		remote := bytes[2] + bytes[3]
-		total, got := ctx.roundTime(bytes)
-		if total != local+remote {
-			t.Fatalf("%v: total %d, want %d", bytes, total, local+remote)
-		}
-		pcie := model.Latency + float64(local)/model.Bandwidth
-		inter := model.InterLatency + float64(remote)/model.InterBandwidth
-		want := pcie
-		if inter > want {
-			want = inter
-		}
-		if got != want {
-			t.Fatalf("%v: round time %v, want max(pcie %v, inter %v)", bytes, got, pcie, inter)
-		}
-	}
-}
-
-func TestRoundTimeSingleNodeIgnoresInterconnect(t *testing.T) {
-	// Without DevicesPerNode the remote path never engages, even when
-	// interconnect constants are set.
-	model := M2090()
-	model.InterLatency = 1 // absurd, must be ignored
-	model.InterBandwidth = 1
-	ctx := NewContext(4, model)
-	bytes := []int{100, 200, 300, 400}
-	_, got := ctx.roundTime(bytes)
-	want := model.Latency + 1000/model.Bandwidth
-	if got != want {
-		t.Fatalf("single-node round time %v, want %v", got, want)
-	}
-}
-
-func TestRoundTimeAllDevicesWithinNode(t *testing.T) {
-	// DevicesPerNode >= len(bytes): everything is local, the interconnect
-	// branch must not fire even though the model is multi-node.
-	model := MultiNode(M2090(), 8, 25e-6, 3e9)
-	ctx := NewContext(4, model)
-	_, got := ctx.roundTime([]int{10, 20, 30, 40})
-	want := model.Latency + 100/model.Bandwidth
-	if got != want {
-		t.Fatalf("intra-node round time %v, want %v", got, want)
-	}
-}
-
 func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 5; i++ {
-		ctx.ReduceRound("before", []int{i})
+		ctx.Reduce(Op{Phase: "before", Sync: true}, []int{i})
 	}
 	ctx.ResetStats()
 	if got := len(ctx.Stats().Trace()); got != 0 {
@@ -292,7 +228,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	}
 	// Recording still works and still wraps at the same capacity.
 	for i := 0; i < 7; i++ {
-		ctx.ReduceRound("after", []int{i})
+		ctx.Reduce(Op{Phase: "after", Sync: true}, []int{i})
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {
@@ -311,7 +247,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 func TestResetStatsWithoutTraceStaysDisabled(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.ResetStats()
-	ctx.ReduceRound("p", []int{1})
+	ctx.Reduce(Op{Phase: "p", Sync: true}, []int{1})
 	if len(ctx.Stats().Trace()) != 0 {
 		t.Fatal("reset enabled tracing out of nowhere")
 	}

@@ -29,10 +29,11 @@ import "sync"
 //     so every existing golden table, CSV and property test is
 //     untouched.
 //
-//  2. With overlap disabled (the default), every operation — including
-//     the *On variants — degrades to a full barrier: all cursors advance
-//     in lockstep and Horizon() == SerialTime() bit-for-bit. The
-//     synchronous API is literally the single-stream case of the engine.
+//  2. With overlap disabled (the default), every operation — whether or
+//     not its Op sets Sync — degrades to a full barrier: all cursors
+//     advance in lockstep and Horizon() == SerialTime() bit-for-bit. The
+//     synchronous schedule is literally the single-stream case of the
+//     engine, and Sync is how a caller asks for that case per operation.
 //
 // Horizon() can never exceed SerialTime(): each operation starts at a
 // maximum of cursors and event times that are themselves bounded by the
@@ -100,16 +101,6 @@ func newTimeline(overlap bool) *Timeline {
 	return &Timeline{overlap: overlap, lanes: make(map[laneKey]float64)}
 }
 
-func depMax(after []StreamEvent) float64 {
-	var at float64
-	for _, e := range after {
-		if e.at > at {
-			at = e.at
-		}
-	}
-	return at
-}
-
 // cursorAt reads a per-device cursor, growing the slice on demand so
 // Survivors views addressing sparse physical ids stay in bounds.
 func cursorAt(s *[]float64, d int) float64 {
@@ -165,146 +156,91 @@ func (tl *Timeline) advanceAllLocked(t float64) {
 	}
 }
 
-// kernel submits one parallel device-kernel launch: device devs[i] is
-// busy for ts[i] on its compute stream. Barrier launches (the
-// synchronous API, or any launch with overlap disabled) start at the
-// global maximum and drag every cursor to the slowest device's finish.
-func (tl *Timeline) kernel(phase string, devs []int, ts []float64, barrier bool, after []StreamEvent) StreamEvent {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var maxT float64
-	for _, t := range ts {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	start := depMax(after)
-	var ev float64
-	if barrier || !tl.overlap {
-		if m := tl.maxAllLocked(); m > start {
-			start = m
-		}
-		ev = start + maxT
-		for _, d := range devs {
-			setCursor(&tl.compute, d, ev)
-		}
-		tl.advanceAllLocked(ev)
-	} else {
-		for i, d := range devs {
-			st := start
-			if c := cursorAt(&tl.compute, d); c > st {
-				st = c
-			}
-			fin := st + ts[i]
-			setCursor(&tl.compute, d, fin)
-			if fin > ev {
-				ev = fin
-			}
-		}
-	}
-	for i, d := range devs {
-		tl.lanes[laneKey{LaneCompute, d, phase}] += ts[i]
-	}
-	tl.serial += maxT
-	return StreamEvent{at: ev}
-}
+// hostEdge is an operation's relation to the data the host holds.
+type hostEdge int
 
-// comm submits one communication round of duration t (+stall of faulted
-// retries) occupying the transfer streams of the participating devices.
-// A device-to-host round delivers its payload to the host at its finish
-// (advancing hostData); a host-to-device round cannot start before the
-// host holds the data it relays (start >= hostData).
-func (tl *Timeline) comm(phase string, h2d bool, devs []int, t, stall float64, barrier bool, after []StreamEvent) StreamEvent {
+const (
+	// edgeNone: device kernels and peer rounds never touch the host.
+	edgeNone hostEdge = iota
+	// edgeWait: host-to-device rounds and host compute cannot start
+	// before the host holds the data they relay or consume (start >=
+	// hostData).
+	edgeWait
+	// edgeDeliver: a device-to-host round delivers its payload to the
+	// host at its finish (advancing hostData).
+	edgeDeliver
+)
+
+// submit schedules one operation of duration ts (+stall of faulted
+// retries) on the streams of one lane:
+//
+//   - LaneCompute: device devs[i] is busy for ts[i] on its own compute
+//     stream, starting at its own cursor;
+//   - LaneTransfer: one round of ts[0] occupying the transfer streams of
+//     every device in devs, starting once all of them are free;
+//   - LaneHost: ts[0] on the host stream (devs is {HostDevice}).
+//
+// Barrier operations (sync, or any operation with overlap disabled)
+// start at the global maximum and drag every cursor to their finish.
+func (tl *Timeline) submit(lane LaneKind, edge hostEdge, phase string, devs []int, ts []float64, stall float64, after StreamEvent, sync bool) StreamEvent {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	dur := t + stall
-	start := depMax(after)
-	if barrier || !tl.overlap {
-		if m := tl.maxAllLocked(); m > start {
-			start = m
+	sync = sync || !tl.overlap
+	var span float64
+	for _, t := range ts {
+		if t > span {
+			span = t
 		}
-	} else {
+	}
+	span += stall
+	start := after.at
+	switch {
+	case sync:
+		start = max(start, tl.maxAllLocked())
+	case lane == LaneTransfer:
 		for _, d := range devs {
-			if c := cursorAt(&tl.transfer, d); c > start {
-				start = c
-			}
+			start = max(start, cursorAt(&tl.transfer, d))
 		}
-		if h2d && tl.hostData > start {
-			start = tl.hostData
+	case lane == LaneHost:
+		start = max(start, tl.host)
+	}
+	if !sync && edge == edgeWait {
+		start = max(start, tl.hostData)
+	}
+	fin := start + span
+	switch lane {
+	case LaneCompute:
+		// Each device's share starts at its own compute cursor; a barrier
+		// then drags every cursor to the slowest device's finish.
+		var last float64
+		for i, d := range devs {
+			f := max(start, cursorAt(&tl.compute, d)) + ts[i]
+			setCursor(&tl.compute, d, f)
+			last = max(last, f)
 		}
+		if !sync {
+			fin = last
+		}
+	case LaneTransfer:
+		for _, d := range devs {
+			setCursor(&tl.transfer, d, fin)
+		}
+	case LaneHost:
+		tl.host = fin
 	}
-	fin := start + dur
-	for _, d := range devs {
-		setCursor(&tl.transfer, d, fin)
-		tl.lanes[laneKey{LaneTransfer, d, phase}] += t
-	}
-	if barrier || !tl.overlap {
+	if sync {
 		tl.advanceAllLocked(fin)
-	} else if !h2d && fin > tl.hostData {
+	} else if edge == edgeDeliver && fin > tl.hostData {
 		tl.hostData = fin
 	}
-	tl.serial += dur
-	return StreamEvent{at: fin}
-}
-
-// peer submits one peer-to-peer exchange round of duration t (+stall of
-// faulted retries) occupying the transfer streams of every participating
-// device. Unlike comm, the host is not on the path: the round neither
-// waits for hostData nor advances it — the whole point of peer routing.
-func (tl *Timeline) peer(phase string, devs []int, t, stall float64, barrier bool, after []StreamEvent) StreamEvent {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	dur := t + stall
-	start := depMax(after)
-	if barrier || !tl.overlap {
-		if m := tl.maxAllLocked(); m > start {
-			start = m
+	for i, d := range devs {
+		t := ts[0]
+		if lane == LaneCompute {
+			t = ts[i]
 		}
-	} else {
-		for _, d := range devs {
-			if c := cursorAt(&tl.transfer, d); c > start {
-				start = c
-			}
-		}
+		tl.lanes[laneKey{lane, d, phase}] += t
 	}
-	fin := start + dur
-	for _, d := range devs {
-		setCursor(&tl.transfer, d, fin)
-		tl.lanes[laneKey{LaneTransfer, d, phase}] += t
-	}
-	if barrier || !tl.overlap {
-		tl.advanceAllLocked(fin)
-	}
-	tl.serial += dur
-	return StreamEvent{at: fin}
-}
-
-// hostOp submits host compute of duration t on the host stream. The
-// host cannot start work on data that has not arrived (start >=
-// hostData).
-func (tl *Timeline) hostOp(phase string, t float64, barrier bool, after []StreamEvent) StreamEvent {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	start := depMax(after)
-	if barrier || !tl.overlap {
-		if m := tl.maxAllLocked(); m > start {
-			start = m
-		}
-	} else {
-		if tl.host > start {
-			start = tl.host
-		}
-		if tl.hostData > start {
-			start = tl.hostData
-		}
-	}
-	fin := start + t
-	tl.host = fin
-	if barrier || !tl.overlap {
-		tl.advanceAllLocked(fin)
-	}
-	tl.lanes[laneKey{LaneHost, HostDevice, phase}] += t
-	tl.serial += t
+	tl.serial += span
 	return StreamEvent{at: fin}
 }
 
@@ -370,9 +306,9 @@ func (tl *Timeline) fence(kind LaneKind) StreamEvent {
 // --- Context surface -------------------------------------------------------
 
 // SetOverlap enables (true) or disables (false) overlapped scheduling on
-// this context tree. With overlap off — the default — every operation,
-// including the *On variants, is a full barrier and the engine reproduces
-// the synchronous schedule exactly. Set it on the root context before a
+// this context tree. With overlap off — the default — every operation is
+// a full barrier and the engine reproduces the synchronous schedule
+// exactly. Set it on the root context before a
 // run; Survivors views share the root's timeline.
 func (c *Context) SetOverlap(on bool) {
 	c.timeline.mu.Lock()
@@ -414,43 +350,3 @@ func (c *Context) TransferFence() StreamEvent { return c.timeline.fence(LaneTran
 // last time data arrived from the devices) — a conservative dependency
 // on "everything the host has computed or received so far".
 func (c *Context) HostFence() StreamEvent { return c.timeline.fence(LaneHost) }
-
-// ReduceRoundOn is ReduceRound as a stream operation: the round occupies
-// the participating transfer streams after its dependencies and delivers
-// its payload to the host at the returned event. Ledger charges are
-// identical to ReduceRound; with overlap disabled it is a full barrier.
-func (c *Context) ReduceRoundOn(phase string, bytes []int, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirD2H, bytes, Elem64, false, after)
-}
-
-// BroadcastRoundOn is BroadcastRound as a stream operation. It starts no
-// earlier than the host holds data to send (the last reduce's arrival);
-// pass an explicit event when the payload comes from host *compute*.
-func (c *Context) BroadcastRoundOn(phase string, bytes []int, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirH2D, bytes, Elem64, false, after)
-}
-
-// ReduceRoundElemOn is ReduceRoundOn with an explicit element width:
-// bytes already reflect the narrow wire size; elem tags the volume on
-// the precision ledger columns (bytesFP32/bytesComp).
-func (c *Context) ReduceRoundElemOn(phase string, bytes []int, elem Elem, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirD2H, bytes, elem, false, after)
-}
-
-// BroadcastRoundElemOn is BroadcastRoundOn with an explicit element
-// width.
-func (c *Context) BroadcastRoundElemOn(phase string, bytes []int, elem Elem, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirH2D, bytes, elem, false, after)
-}
-
-// DeviceKernelOn is DeviceKernel as a stream operation: each device's
-// share runs on its own compute stream after the dependencies, and the
-// returned event fires when the slowest device finishes.
-func (c *Context) DeviceKernelOn(phase string, work []Work, after ...StreamEvent) StreamEvent {
-	return c.deviceKernel(phase, work, false, after)
-}
-
-// HostComputeOn is HostCompute as a stream operation on the host stream.
-func (c *Context) HostComputeOn(phase string, flops float64, after ...StreamEvent) StreamEvent {
-	return c.hostCompute(phase, flops, false, after)
-}

@@ -27,26 +27,26 @@ func streamWorkload(ctx *Context) {
 		return bs
 	}
 	for i := 0; i < 4; i++ {
-		k := ctx.DeviceKernelOn("spmv", work(2e6, 3e6))
-		red := ctx.ReduceRoundOn("orth", bytes(256), k)
+		k := ctx.Kernel(Op{Phase: "spmv"}, work(2e6, 3e6))
+		red := ctx.Reduce(Op{Phase: "orth", After: k}, bytes(256))
 		// The broadcast relays the reduce's payload (implicit hostData
 		// ordering); the host's small update then overlaps the device-side
 		// broadcast + kernel — the paper's CPU/GPU overlap.
-		bc := ctx.BroadcastRoundOn("orth", bytes(128), red)
-		ctx.DeviceKernelOn("orth", work(1e6, 8e6), bc)
-		ctx.HostComputeOn("lsq", 1e6)
+		bc := ctx.Broadcast(Op{Phase: "orth", After: red}, bytes(128))
+		ctx.Kernel(Op{Phase: "orth", After: bc}, work(1e6, 8e6))
+		ctx.Host(Op{Phase: "lsq"}, 1e6)
 		if i%2 == 1 {
 			prod := ctx.ComputeFence()
-			ctx.ReduceRoundOn("tsqr", bytes(512), prod)
-			ctx.HostComputeOn("tsqr", 3e6)
-			ctx.BroadcastRoundOn("tsqr", bytes(512), ctx.HostFence())
-			ctx.DeviceKernelOn("tsqr", work(4e6, 2e6), ctx.TransferFence())
+			ctx.Reduce(Op{Phase: "tsqr", After: prod}, bytes(512))
+			ctx.Host(Op{Phase: "tsqr"}, 3e6)
+			ctx.Broadcast(Op{Phase: "tsqr", After: ctx.HostFence()}, bytes(512))
+			ctx.Kernel(Op{Phase: "tsqr", After: ctx.TransferFence()}, work(4e6, 2e6))
 		}
 	}
 	// A legacy synchronous op in the middle must stay a correct barrier
 	// even with overlap enabled.
-	ctx.UniformKernel("vec", Work{Flops: 1e6, Bytes: 4e6})
-	ctx.HostCompute("lsq", 2e6)
+	ctx.Kernel(Op{Phase: "vec", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 1e6, Bytes: 4e6}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 2e6)
 }
 
 // syncWorkload is streamWorkload expressed through the legacy
@@ -68,20 +68,20 @@ func syncWorkload(ctx *Context) {
 		return bs
 	}
 	for i := 0; i < 4; i++ {
-		ctx.DeviceKernel("spmv", work(2e6, 3e6))
-		ctx.ReduceRound("orth", bytes(256))
-		ctx.BroadcastRound("orth", bytes(128))
-		ctx.DeviceKernel("orth", work(1e6, 8e6))
-		ctx.HostCompute("lsq", 1e6)
+		ctx.Kernel(Op{Phase: "spmv", Sync: true}, work(2e6, 3e6))
+		ctx.Reduce(Op{Phase: "orth", Sync: true}, bytes(256))
+		ctx.Broadcast(Op{Phase: "orth", Sync: true}, bytes(128))
+		ctx.Kernel(Op{Phase: "orth", Sync: true}, work(1e6, 8e6))
+		ctx.Host(Op{Phase: "lsq", Sync: true}, 1e6)
 		if i%2 == 1 {
-			ctx.ReduceRound("tsqr", bytes(512))
-			ctx.HostCompute("tsqr", 3e6)
-			ctx.BroadcastRound("tsqr", bytes(512))
-			ctx.DeviceKernel("tsqr", work(4e6, 2e6))
+			ctx.Reduce(Op{Phase: "tsqr", Sync: true}, bytes(512))
+			ctx.Host(Op{Phase: "tsqr", Sync: true}, 3e6)
+			ctx.Broadcast(Op{Phase: "tsqr", Sync: true}, bytes(512))
+			ctx.Kernel(Op{Phase: "tsqr", Sync: true}, work(4e6, 2e6))
 		}
 	}
-	ctx.UniformKernel("vec", Work{Flops: 1e6, Bytes: 4e6})
-	ctx.HostCompute("lsq", 2e6)
+	ctx.Kernel(Op{Phase: "vec", Sync: true}, repeatWork(ctx.NumDevices, Work{Flops: 1e6, Bytes: 4e6}))
+	ctx.Host(Op{Phase: "lsq", Sync: true}, 2e6)
 }
 
 // Property (a): with overlap disabled (the default), the stream API is
@@ -230,13 +230,13 @@ func TestSurvivorsShareTimeline(t *testing.T) {
 	ctx.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 	func() {
 		defer func() { _ = recover() }()
-		ctx.DeviceKernelOn("spmv", []Work{{Flops: 1e6}, {Flops: 1e6}, {Flops: 1e6}})
+		ctx.Kernel(Op{Phase: "spmv"}, []Work{{Flops: 1e6}, {Flops: 1e6}, {Flops: 1e6}})
 	}()
 	view, err := ctx.Survivors()
 	if err != nil {
 		t.Fatal(err)
 	}
-	view.DeviceKernelOn("spmv", []Work{{Flops: 1e6}, {Flops: 1e6}})
+	view.Kernel(Op{Phase: "spmv"}, []Work{{Flops: 1e6}, {Flops: 1e6}})
 	if got, want := view.OverlappedTime(), ctx.OverlappedTime(); got != want {
 		t.Fatalf("view horizon %v != root horizon %v", got, want)
 	}

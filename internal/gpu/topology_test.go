@@ -43,7 +43,7 @@ func pair(ng, s, d, b int) [][]int {
 
 func peerCost(c *Context, traffic [][]int) float64 {
 	before := c.Stats().TotalTime()
-	c.PeerExchange("x", traffic)
+	c.Exchange(Op{Phase: "x", Sync: true}, nil, nil, traffic)
 	return c.Stats().TotalTime() - before
 }
 
@@ -135,7 +135,7 @@ func TestHostHubPeerFallback(t *testing.T) {
 	c := NewContext(3, M2090())
 	const B = 1 << 20
 	before := c.Stats().Phase("x")
-	c.PeerExchange("x", pair(3, 0, 2, B))
+	c.Exchange(Op{Phase: "x", Sync: true}, nil, nil, pair(3, 0, 2, B))
 	ps := c.Stats().Phase("x")
 	if got := ps.Rounds - before.Rounds; got != 2 {
 		t.Errorf("host-hub peer exchange charged %d rounds, want 2", got)
@@ -167,7 +167,7 @@ func TestRingRerouteAfterDeath(t *testing.T) {
 				panic(r)
 			}
 		}()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Reduce(Op{Phase: "x", Sync: true}, []int{8, 8, 8, 8})
 	}()
 
 	surv, err := c.Survivors()
@@ -205,7 +205,7 @@ func TestSurvivorsKeepProfile(t *testing.T) {
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 3, At: 0}}})
 	func() {
 		defer func() { recover() }()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Reduce(Op{Phase: "x", Sync: true}, []int{8, 8, 8, 8})
 	}()
 	surv, err := c.Survivors()
 	if err != nil {

@@ -18,11 +18,11 @@ func ledgerWorkload(t *testing.T) *gpu.Context {
 	t.Helper()
 	ctx := gpu.NewContext(2, gpu.M2090())
 	ctx.Stats().EnableTrace(1 << 8)
-	ctx.UniformKernel("spmv", gpu.Work{Flops: 2e6, Bytes: 1e6})
-	ctx.DeviceKernel("tsqr", []gpu.Work{{Flops: 3e6, Bytes: 5e5}, {Flops: 1e6, Bytes: 2e5}})
-	ctx.ReduceRound("orth", []int{4096, 8192})
-	ctx.BroadcastRound("orth", []int{1024, 1024})
-	ctx.HostCompute("lsq", 1e5)
+	ctx.Kernel(gpu.Op{Phase: "spmv", Sync: true}, []gpu.Work{{Flops: 2e6, Bytes: 1e6}, {Flops: 2e6, Bytes: 1e6}})
+	ctx.Kernel(gpu.Op{Phase: "tsqr", Sync: true}, []gpu.Work{{Flops: 3e6, Bytes: 5e5}, {Flops: 1e6, Bytes: 2e5}})
+	ctx.Reduce(gpu.Op{Phase: "orth", Sync: true}, []int{4096, 8192})
+	ctx.Broadcast(gpu.Op{Phase: "orth", Sync: true}, []int{1024, 1024})
+	ctx.Host(gpu.Op{Phase: "lsq", Sync: true}, 1e5)
 	return ctx
 }
 

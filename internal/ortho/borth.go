@@ -60,9 +60,9 @@ func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.
 	coefBytes := pc * wc * gpu.ScalarBytes
 	if fp32 {
 		coefBytes = pc * wc * 4
-		ctx.ReduceRoundElemOn(phase, scalarBytesAll(ng, coefBytes), gpu.Elem32, k)
+		ctx.Reduce(gpu.Op{Phase: phase, Elem: gpu.Elem32, After: k}, scalarBytesAll(ng, coefBytes))
 	} else {
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, coefBytes), k)
+		ctx.Reduce(gpu.Op{Phase: phase, After: k}, scalarBytesAll(ng, coefBytes))
 	}
 	c := la.NewDense(pc, wc)
 	for _, part := range partial {
@@ -77,9 +77,9 @@ func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.
 	// the rank-update waits only for it, leaving the host free.
 	var bc gpu.StreamEvent
 	if fp32 {
-		bc = ctx.BroadcastRoundElemOn(phase, scalarBytesAll(ng, coefBytes), gpu.Elem32)
+		bc = ctx.Broadcast(gpu.Op{Phase: phase, Elem: gpu.Elem32}, scalarBytesAll(ng, coefBytes))
 	} else {
-		bc = ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, coefBytes))
+		bc = ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, coefBytes))
 	}
 	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 		rows := float64(p[d].Rows)
@@ -122,7 +122,7 @@ func (BOrthMGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.De
 			rows := float64(len(pl))
 			return gpu.Work{Flops: 2 * rows * float64(wc), Bytes: 8 * rows * float64(wc+1)}
 		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, wc*gpu.ScalarBytes), k)
+		ctx.Reduce(gpu.Op{Phase: phase, After: k}, scalarBytesAll(ng, wc*gpu.ScalarBytes))
 		row := make([]float64, wc)
 		for _, part := range partial {
 			la.Axpy(1, part, row)
@@ -130,7 +130,7 @@ func (BOrthMGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.De
 		for j := 0; j < wc; j++ {
 			c.Set(l, j, row[j])
 		}
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, wc*gpu.ScalarBytes))
+		bc := ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, wc*gpu.ScalarBytes))
 		// rank-1 update W -= p_l c_l
 		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 			pl := p[d].Col(l)

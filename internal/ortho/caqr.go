@@ -59,7 +59,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 		return gpu.Work{Flops: 4 * rows * cc, Bytes: 8 * rows * cc}
 	})
 	// Gather the R factors (min(rows, c) x c each).
-	ctx.ReduceRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), k)
+	ctx.Reduce(gpu.Op{Phase: phase, After: k}, scalarBytesAll(ng, c*c*gpu.ScalarBytes))
 
 	// Host: QR of the stacked R factors. The row offset of device d's
 	// block inside the stack (blocks are square except short panels').
@@ -82,11 +82,11 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 	la.FixRSigns(qStack, r)
 	// The host tree-reduction starts when the stacked R factors arrive;
 	// qStack is host-computed, so the scatter explicitly depends on it.
-	hqr := ctx.HostComputeOn(phase, 4*float64(ng*c)*float64(c)*float64(c))
+	hqr := ctx.Host(gpu.Op{Phase: phase}, 4*float64(ng*c)*float64(c)*float64(c))
 
 	// Scatter the Q blocks; each device forms its final panel
 	// Q_d := localQ_d * qStack_d.
-	bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), hqr)
+	bc := ctx.Broadcast(gpu.Op{Phase: phase, After: hqr}, scalarBytesAll(ng, c*c*gpu.ScalarBytes))
 	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 		qd := qStack.RowView(off[d], off[d+1])
 		out := la.NewDense(w[d].Rows, c)

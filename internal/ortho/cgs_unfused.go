@@ -30,7 +30,7 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 	for k := 0; k < c; k++ {
 		if k > 0 {
 			// r_{1:k-1,k} := V' v_k (reduce + broadcast).
-			deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+			deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 				vk := w[d].Col(k)
 				buf := la.NewDense(k, 1)
 				prev := w[d].ColView(0, k)
@@ -39,7 +39,7 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 				rows := float64(len(vk))
 				return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+1)}
 			})
-			ctx.ReduceRound(phase, scalarBytesAll(ng, k*gpu.ScalarBytes))
+			ctx.Reduce(gpu.Op{Phase: phase, Sync: true}, scalarBytesAll(ng, k*gpu.ScalarBytes))
 			proj := make([]float64, k)
 			for _, p := range projPart {
 				la.Axpy(1, p.Col(0), proj)
@@ -47,8 +47,8 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 			for l := 0; l < k; l++ {
 				r.Set(l, k, proj[l])
 			}
-			ctx.BroadcastRound(phase, scalarBytesAll(ng, k*gpu.ScalarBytes))
-			deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+			ctx.Broadcast(gpu.Op{Phase: phase, Sync: true}, scalarBytesAll(ng, k*gpu.ScalarBytes))
+			deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 				vk := w[d].Col(k)
 				prev := w[d].ColView(0, k)
 				la.Gemv(-1, prev, proj, 1, vk)
@@ -57,12 +57,12 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 			})
 		}
 		// r_kk := ||v_k|| recomputed honestly (reduce + broadcast).
-		deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 			vk := w[d].Col(k)
 			normPart[d] = la.Dot(vk, vk)
 			return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
 		})
-		ctx.ReduceRound(phase, scalarBytesAll(ng, gpu.ScalarBytes))
+		ctx.Reduce(gpu.Op{Phase: phase, Sync: true}, scalarBytesAll(ng, gpu.ScalarBytes))
 		ssq := 0.0
 		for _, p := range normPart {
 			ssq += p
@@ -72,8 +72,8 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 		if k > 0 && rkk <= 1e-14*la.Nrm2(r.Col(k)[:k]) || rkk == 0 {
 			return nil, ErrRankDeficient
 		}
-		ctx.BroadcastRound(phase, scalarBytesAll(ng, gpu.ScalarBytes))
-		deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+		ctx.Broadcast(gpu.Op{Phase: phase, Sync: true}, scalarBytesAll(ng, gpu.ScalarBytes))
+		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 			vk := w[d].Col(k)
 			la.Scal(1/rkk, vk)
 			return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}

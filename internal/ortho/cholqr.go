@@ -39,7 +39,7 @@ func (q CholQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense
 	// arrived (hostData ordering); the devices are free in the meantime.
 	c := b.Rows
 	r, err := la.Cholesky(b)
-	chol := ctx.HostComputeOn(phase, float64(c*c*c)/3)
+	chol := ctx.Host(gpu.Op{Phase: phase}, float64(c*c*c)/3)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRankDeficient, err)
 	}
@@ -85,7 +85,7 @@ func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, er
 	}
 	// Eigendecomposition of the scaled Gram matrix.
 	eig, u := la.JacobiEig(bs)
-	ctx.HostComputeOn(phase, 9*float64(c*c*c)) // Jacobi sweeps
+	ctx.Host(gpu.Op{Phase: phase}, 9*float64(c*c*c)) // Jacobi sweeps
 	smax := eig[0]
 	if smax <= 0 {
 		return nil, fmt.Errorf("%w: Gram matrix has no positive eigenvalues", ErrRankDeficient)
@@ -107,7 +107,7 @@ func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, er
 	f := la.HouseholderQR(m)
 	rfac := f.R()
 	la.FixRSigns(nil, rfac)
-	hqr := ctx.HostComputeOn(phase, 2*float64(c*c*c))
+	hqr := ctx.Host(gpu.Op{Phase: phase}, 2*float64(c*c*c))
 	applyInvR(ctx, w, rfac, phase, hqr)
 	return rfac, nil
 }
@@ -137,9 +137,9 @@ func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*
 		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
 	})
 	if fp32 {
-		ctx.ReduceRoundElemOn(phase, scalarBytesAll(ng, c*c*4), gpu.Elem32, k)
+		ctx.Reduce(gpu.Op{Phase: phase, Elem: gpu.Elem32, After: k}, scalarBytesAll(ng, c*c*4))
 	} else {
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), k)
+		ctx.Reduce(gpu.Op{Phase: phase, After: k}, scalarBytesAll(ng, c*c*gpu.ScalarBytes))
 	}
 	b := la.NewDense(c, c)
 	for _, p := range partial {
@@ -166,7 +166,7 @@ func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*
 func applyInvR(ctx *gpu.Context, w []*la.Dense, r *la.Dense, phase string, after ...gpu.StreamEvent) {
 	c := r.Rows
 	ng := len(w)
-	bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), after...)
+	bc := ctx.Broadcast(gpu.Op{Phase: phase, After: gpu.Join(after...)}, scalarBytesAll(ng, c*c*gpu.ScalarBytes))
 	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 		la.TrsmRightUpper(w[d], r)
 		rows := float64(w[d].Rows)

@@ -32,7 +32,7 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 				partial[d] = la.Dot(vl, vk)
 				return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 16 * float64(len(vl))}
 			})
-			ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd)
+			ctx.Reduce(gpu.Op{Phase: phase, After: kd}, scalarBytesAll(ng, gpu.ScalarBytes))
 			rlk := 0.0
 			for _, p := range partial {
 				rlk += p
@@ -40,7 +40,7 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 			r.Set(l, k, rlk)
 			projSq += rlk * rlk
 			// broadcast r_lk, local axpy v_k -= r_lk v_l
-			bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
+			bc := ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, gpu.ScalarBytes))
 			deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 				vl, vk := w[d].Col(l), w[d].Col(k)
 				la.Axpy(-rlk, vl, vk)
@@ -53,7 +53,7 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 			partial[d] = la.Dot(vk, vk)
 			return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
 		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd)
+		ctx.Reduce(gpu.Op{Phase: phase, After: kd}, scalarBytesAll(ng, gpu.ScalarBytes))
 		ssq := 0.0
 		for _, p := range partial {
 			ssq += p
@@ -65,7 +65,7 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		if rkk <= 1e-14*math.Sqrt(projSq+ssq) {
 			return nil, ErrRankDeficient
 		}
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
+		bc := ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, gpu.ScalarBytes))
 		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 			vk := w[d].Col(k)
 			la.Scal(1/rkk, vk)
@@ -111,7 +111,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 			rows := float64(len(vk))
 			return gpu.Work{Flops: 2 * rows * float64(k+1), Bytes: 8 * rows * float64(k+2)}
 		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes), kd)
+		ctx.Reduce(gpu.Op{Phase: phase, After: kd}, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes))
 		sum := make([]float64, k+1)
 		for _, p := range partial {
 			la.Axpy(1, p.Col(0), sum)
@@ -128,7 +128,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 
 		// Broadcast coefficients, local update. The host-side Pythagorean
 		// bookkeeping above overlaps with the device-side update.
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes))
+		bc := ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes))
 		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
 			vk := w[d].Col(k)
 			if k > 0 {
@@ -148,7 +148,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 				part[d] = la.Dot(vk, vk)
 				return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
 			})
-			ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd2)
+			ctx.Reduce(gpu.Op{Phase: phase, After: kd2}, scalarBytesAll(ng, gpu.ScalarBytes))
 			ssq := 0.0
 			for _, p := range part {
 				ssq += p
@@ -157,7 +157,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 			// The scale still rides on the already-counted broadcast of
 			// the next column in spirit; charge one explicit round to
 			// stay honest.
-			bc = ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
+			bc = ctx.Broadcast(gpu.Op{Phase: phase}, scalarBytesAll(ng, gpu.ScalarBytes))
 		} else {
 			rkk = math.Sqrt(newNorm2)
 			// rkk was derived host-side from already-communicated data

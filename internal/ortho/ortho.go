@@ -70,21 +70,15 @@ func scalarBytesAll(ng, b int) []int {
 	return v
 }
 
-// deviceWork runs f on every device, collecting per-device Work, and
-// charges it as one parallel kernel.
-func deviceWork(ctx *gpu.Context, phase string, ndev int, f func(d int) gpu.Work) {
-	deviceWorkOn(ctx, phase, ndev, f)
-}
-
-// deviceWorkOn is deviceWork as a stream operation: the launch waits for
-// the given events and the returned event fires when the slowest device
-// finishes.
+// deviceWorkOn runs f on every device, collecting per-device Work, and
+// charges it as one parallel kernel: the launch waits for the given
+// events and the returned event fires when the slowest device finishes.
 func deviceWorkOn(ctx *gpu.Context, phase string, ndev int, f func(d int) gpu.Work, after ...gpu.StreamEvent) gpu.StreamEvent {
 	work := make([]gpu.Work, ndev)
 	ctx.RunAll(func(d int) {
 		work[d] = f(d)
 	})
-	return ctx.DeviceKernelOn(phase, work, after...)
+	return ctx.Kernel(gpu.Op{Phase: phase, After: gpu.Join(after...)}, work)
 }
 
 // Reorth wraps a strategy with one reorthogonalization pass (the "2x"
@@ -114,7 +108,7 @@ func (r Reorth) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense
 	c := r1.Rows
 	out := la.NewDense(c, c)
 	la.GemmNN(1, r2, r1, 0, out)
-	ctx.HostComputeOn(phase, float64(c*c*c)/3)
+	ctx.Host(gpu.Op{Phase: phase}, float64(c*c*c)/3)
 	return out, nil
 }
 

@@ -46,7 +46,7 @@ func (c CARRQR) FactorRankRevealing(ctx *gpu.Context, w []*la.Dense, phase strin
 		return nil, 0, nil, err
 	}
 	cp := la.QRCP(r)
-	ctx.HostCompute(phase, 4*float64(r.Rows)*float64(r.Rows)*float64(r.Rows)/3)
+	ctx.Host(gpu.Op{Phase: phase, Sync: true}, 4*float64(r.Rows)*float64(r.Rows)*float64(r.Rows)/3)
 	rank = cp.Rank(c.Tol)
 	return r, rank, cp.Perm, nil
 }

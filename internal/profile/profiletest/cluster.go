@@ -34,7 +34,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	const B = 1 << 18
 
 	c := gpu.NewContextWithProfile(ng, p)
-	c.PeerExchange("cross", pairTraffic(ng, 0, g, B)) // node 0 -> node 1
+	c.Exchange(gpu.Op{Phase: "cross", Sync: true}, nil, nil, pairTraffic(ng, 0, g, B)) // node 0 -> node 1
 	ps := c.Stats().Phase("cross")
 	if ps.BytesInterNode != B {
 		t.Errorf("cross-node pair: bytesInterNode %d, want %d", ps.BytesInterNode, B)
@@ -45,7 +45,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 
 	if g > 1 {
 		c2 := gpu.NewContextWithProfile(ng, p)
-		c2.PeerExchange("local", pairTraffic(ng, 0, 1, B)) // both on node 0
+		c2.Exchange(gpu.Op{Phase: "local", Sync: true}, nil, nil, pairTraffic(ng, 0, 1, B)) // both on node 0
 		ps2 := c2.Stats().Phase("local")
 		if ps2.BytesInterNode != 0 {
 			t.Errorf("same-node pair crossed the fabric: %d bytes", ps2.BytesInterNode)
@@ -61,7 +61,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	for d := range bytes {
 		bytes[d] = B
 	}
-	c3.ReduceRound("red", bytes)
+	c3.Reduce(gpu.Op{Phase: "red", Sync: true}, bytes)
 	ps3 := c3.Stats().Phase("red")
 	if ps3.BytesD2H != ng*B {
 		t.Errorf("clustered reduce BytesD2H %d, want %d", ps3.BytesD2H, ng*B)
@@ -80,7 +80,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	one.Cluster.DevicesPerNode = devCount // all devices on node 0
 	c := gpu.NewContextWithProfile(devCount, one)
 	bytes := []int{100, 200, 300, 400}
-	c.ReduceRound("x", bytes)
+	c.Reduce(gpu.Op{Phase: "x", Sync: true}, bytes)
 	ps := c.Stats().Phase("x")
 	if ps.BytesInterNode != 0 {
 		t.Errorf("one-node cluster crossed the fabric: %d bytes", ps.BytesInterNode)
@@ -88,7 +88,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	flatP := p
 	flatP.Cluster = gpu.Cluster{}
 	flat := gpu.NewContextWithProfile(devCount, flatP)
-	flat.ReduceRound("x", bytes)
+	flat.Reduce(gpu.Op{Phase: "x", Sync: true}, bytes)
 	fs := flat.Stats().Phase("x")
 	if ps.CommTime != fs.CommTime || ps.BytesD2H != fs.BytesD2H {
 		t.Errorf("one-node cluster reduce differs from flat machine: %+v vs %+v", ps, fs)

@@ -37,7 +37,7 @@ func Run(t *testing.T, p gpu.Profile) {
 
 // workload drives every charging path of the runtime with deterministic
 // shapes: host-mediated rounds, per-device and uniform kernels, host
-// compute, a peer exchange, and the stream (*On) variants with a
+// compute, a peer exchange, and stream (non-Sync) operations with a
 // dependency chain.
 func workload(c *gpu.Context) {
 	ng := c.NumDevices
@@ -48,23 +48,23 @@ func workload(c *gpu.Context) {
 		}
 		return out
 	}
-	c.ReduceRound("setup", uniform(4096))
-	c.BroadcastRound("setup", uniform(8192))
+	c.Reduce(gpu.Op{Phase: "setup", Sync: true}, uniform(4096))
+	c.Broadcast(gpu.Op{Phase: "setup", Sync: true}, uniform(8192))
 
 	work := make([]gpu.Work, ng)
 	for d := range work {
 		work[d] = gpu.Work{Flops: float64(1+d) * 2e6, Bytes: float64(1+d) * 1.5e6}
 	}
-	c.DeviceKernel("spmv", work)
-	c.UniformKernel("tsqr", gpu.Work{Flops: 3e6, Bytes: 2e6})
-	c.HostCompute("lsq", 5e5)
+	c.Kernel(gpu.Op{Phase: "spmv", Sync: true}, work)
+	c.Kernel(gpu.Op{Phase: "tsqr", Sync: true}, repeatWork(ng, gpu.Work{Flops: 3e6, Bytes: 2e6}))
+	c.Host(gpu.Op{Phase: "lsq", Sync: true}, 5e5)
 
-	c.PeerExchange("mpk", ringTraffic(ng, 4096))
+	c.Exchange(gpu.Op{Phase: "mpk", Sync: true}, nil, nil, ringTraffic(ng, 4096))
 
-	ev := c.ReduceRoundOn("orth", uniform(2048), c.ComputeFence())
-	c.DeviceKernelOn("orth", work, ev)
-	c.HostComputeOn("lsq", 1e5)
-	c.HaloExchangeOn("mpk", uniform(1024), uniform(3072), ringTraffic(ng, 1024))
+	ev := c.Reduce(gpu.Op{Phase: "orth", After: c.ComputeFence()}, uniform(2048))
+	c.Kernel(gpu.Op{Phase: "orth", After: ev}, work)
+	c.Host(gpu.Op{Phase: "lsq"}, 1e5)
+	c.Exchange(gpu.Op{Phase: "mpk"}, uniform(1024), uniform(3072), ringTraffic(ng, 1024))
 }
 
 // ringTraffic builds a neighbor-exchange traffic matrix: every device
@@ -89,6 +89,15 @@ func pairTraffic(ng, s, d, b int) [][]int {
 	}
 	tr[s][d] = b
 	return tr
+}
+
+// repeatWork returns n copies of w: identical work on every device.
+func repeatWork(n int, w gpu.Work) []gpu.Work {
+	work := make([]gpu.Work, n)
+	for d := range work {
+		work[d] = w
+	}
+	return work
 }
 
 func checkFiniteTimes(t *testing.T, p gpu.Profile) {
@@ -124,12 +133,12 @@ func checkMonotoneComm(t *testing.T, p gpu.Profile) {
 		for d := range bytes {
 			bytes[d] = b
 		}
-		c.ReduceRound("x", bytes)
+		c.Reduce(gpu.Op{Phase: "x", Sync: true}, bytes)
 		return c.Stats().TotalTime()
 	}
 	peerCost := func(b int) float64 {
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.PeerExchange("x", ringTraffic(devCount, b))
+		c.Exchange(gpu.Op{Phase: "x", Sync: true}, nil, nil, ringTraffic(devCount, b))
 		return c.Stats().TotalTime()
 	}
 	sizes := []int{0, 64, 4096, 1 << 20, 64 << 20}
@@ -151,12 +160,12 @@ func checkMonotoneCompute(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	devCost := func(flops, bytes float64) float64 {
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.UniformKernel("x", gpu.Work{Flops: flops, Bytes: bytes})
+		c.Kernel(gpu.Op{Phase: "x", Sync: true}, repeatWork(c.NumDevices, gpu.Work{Flops: flops, Bytes: bytes}))
 		return c.Stats().TotalTime()
 	}
 	hostCost := func(flops float64) float64 {
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.HostCompute("x", flops)
+		c.Host(gpu.Op{Phase: "x", Sync: true}, flops)
 		return c.Stats().TotalTime()
 	}
 	prev := -1.0
@@ -192,7 +201,7 @@ func checkRouteSymmetry(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	cost := func(s, d int) float64 {
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.PeerExchange("x", pairTraffic(devCount, s, d, 1<<16))
+		c.Exchange(gpu.Op{Phase: "x", Sync: true}, nil, nil, pairTraffic(devCount, s, d, 1<<16))
 		return c.Stats().TotalTime()
 	}
 	for s := 0; s < devCount; s++ {
@@ -267,7 +276,7 @@ func checkFP32Speedup(t *testing.T, p gpu.Profile) {
 	}
 	cost := func(e gpu.Elem) float64 {
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.UniformKernel("x", gpu.Work{Flops: 1e10, Elem: e})
+		c.Kernel(gpu.Op{Phase: "x", Sync: true}, repeatWork(c.NumDevices, gpu.Work{Flops: 1e10, Elem: e}))
 		return c.Stats().TotalTime()
 	}
 	f64, f32 := cost(gpu.Elem64), cost(gpu.Elem32)
@@ -307,7 +316,7 @@ func checkBF16Transfer(t *testing.T, p gpu.Profile) {
 	cost := func(e gpu.Elem) (float64, *gpu.Stats) {
 		b := scalars * e.Bytes()
 		c := gpu.NewContextWithProfile(devCount, p)
-		c.HaloExchangeElemOn("x", uniform(b), uniform(b), ringTraffic(devCount, b), e)
+		c.Exchange(gpu.Op{Phase: "x", Elem: e}, uniform(b), uniform(b), ringTraffic(devCount, b))
 		return c.Stats().TotalTime(), c.Stats()
 	}
 	f64, _ := cost(gpu.Elem64)
@@ -337,7 +346,7 @@ func checkPrecisionLedger(t *testing.T, p gpu.Profile) {
 	for d := range bytes {
 		bytes[d] = 4096
 	}
-	c.ReduceRoundElem("x", bytes, gpu.Elem32)
+	c.Reduce(gpu.Op{Phase: "x", Elem: gpu.Elem32, Sync: true}, bytes)
 	if !strings.Contains(c.Stats().String(), "bytesFP32") {
 		t.Errorf("fp32-tagged round missing bytesFP32 column:\n%s", c.Stats().String())
 	}
